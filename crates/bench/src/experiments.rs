@@ -1444,7 +1444,7 @@ pub fn shard(ctx: &Ctx) {
         base.run.dram_bytes as f64 / 1e6
     );
 
-    let view = PreparedView {
+    let view = std::sync::Arc::new(PreparedView {
         splats: projected.splats.clone(),
         bins: binned.bins.clone(),
         camera: camera.clone(),
@@ -1453,7 +1453,7 @@ pub fn shard(ctx: &Ctx) {
             instances: binned.stats.instances,
             sort_passes: binned.stats.sort_passes,
         },
-    };
+    });
     let ticket = FrameTicket {
         id: FrameId::from_index(0),
         session: SessionId::from_index(0),

@@ -52,6 +52,20 @@ pub struct CompletedFrame {
     pub run: GbuRunResult,
 }
 
+/// One frame's device run, computed off the device clock by
+/// [`Gbu::run`] / [`Gbu::run_scoped`]: a pure function of the inputs,
+/// the hardware configuration and the cache policy, so a host may
+/// compute it once and start it on any number of devices
+/// ([`Gbu::start`]).
+#[derive(Debug, Clone)]
+pub struct DeviceRun {
+    /// Full device occupancy of the frame: `max(D&B, Tile PE)` cycles
+    /// (the chunk-level pipeline of Fig. 13 overlaps the two).
+    pub occupancy: u64,
+    /// The run's image and hardware counters.
+    pub run: GbuRunResult,
+}
+
 #[derive(Debug)]
 struct InFlight {
     result: CompletedFrame,
@@ -120,7 +134,8 @@ impl Gbu {
     }
 
     /// `GBU_render_image`: starts rendering one frame from preprocessed,
-    /// depth-sorted inputs (the outputs of Rendering Steps ❶/❷).
+    /// depth-sorted inputs (the outputs of Rendering Steps ❶/❷) —
+    /// [`Gbu::run`] followed by [`Gbu::start`].
     ///
     /// Returns immediately; completion is observed through
     /// [`Gbu::check_status`] / [`Gbu::wait`].
@@ -135,7 +150,8 @@ impl Gbu {
         camera: &Camera,
         background: Vec3,
     ) -> Result<(), DeviceError> {
-        self.start_frame(splats, bins, camera, background, false)
+        self.ensure_idle()?;
+        self.start(self.run(splats, bins, camera, background))
     }
 
     /// [`Gbu::render_image`] for one shard of a multi-device frame:
@@ -144,7 +160,7 @@ impl Gbu {
     /// executes — and charges DRAM feature traffic and D&B cycles for —
     /// only that tile range (`gbu_hw::dnb::run_scoped`). Rows outside the
     /// shard render as background; the cluster host merges the partial
-    /// frame buffers.
+    /// frame buffers. [`Gbu::run_scoped`] followed by [`Gbu::start`].
     ///
     /// # Errors
     ///
@@ -156,20 +172,66 @@ impl Gbu {
         camera: &Camera,
         background: Vec3,
     ) -> Result<(), DeviceError> {
-        self.start_frame(splats, bins, camera, background, true)
+        self.ensure_idle()?;
+        self.start(self.run_scoped(splats, bins, camera, background))
     }
 
-    fn start_frame(
-        &mut self,
+    /// The pure half of [`Gbu::render_image`]: runs the D&B unit and the
+    /// Tile PE over one frame without touching the clock or the frame
+    /// context. The same inputs always give the same run.
+    pub fn run(
+        &self,
+        splats: &[Splat2D],
+        bins: &TileBins,
+        camera: &Camera,
+        background: Vec3,
+    ) -> DeviceRun {
+        self.compute(splats, bins, camera, background, false)
+    }
+
+    /// The pure half of [`Gbu::render_scoped`].
+    pub fn run_scoped(
+        &self,
+        splats: &[Splat2D],
+        bins: &TileBins,
+        camera: &Camera,
+        background: Vec3,
+    ) -> DeviceRun {
+        self.compute(splats, bins, camera, background, true)
+    }
+
+    /// Starts an already-computed run: the frame occupies the device for
+    /// `run.occupancy` cycles from the current clock.
+    ///
+    /// # Errors
+    ///
+    /// [`DeviceError::Busy`] when a frame is already in execution.
+    pub fn start(&mut self, run: DeviceRun) -> Result<(), DeviceError> {
+        self.ensure_idle()?;
+        let DeviceRun { occupancy, run } = run;
+        self.in_flight = Some(InFlight {
+            result: CompletedFrame { image: run.image.clone(), run },
+            completion_cycle: self.clock + occupancy,
+            occupancy,
+        });
+        Ok(())
+    }
+
+    fn ensure_idle(&self) -> Result<(), DeviceError> {
+        match self.in_flight {
+            Some(_) => Err(DeviceError::Busy),
+            None => Ok(()),
+        }
+    }
+
+    fn compute(
+        &self,
         splats: &[Splat2D],
         bins: &TileBins,
         camera: &Camera,
         background: Vec3,
         scoped: bool,
-    ) -> Result<(), DeviceError> {
-        if self.in_flight.is_some() {
-            return Err(DeviceError::Busy);
-        }
+    ) -> DeviceRun {
         let d = if scoped {
             dnb::run_scoped(splats, bins, &self.engine.config)
         } else {
@@ -178,13 +240,7 @@ impl Gbu {
         let run = self.engine.render(splats, &d, bins, camera, background, self.policy);
         // Chunk-level pipeline (Fig. 13 bottom): D&B overlaps the Tile PE,
         // so the frame occupies max(D&B, Tile PE) cycles.
-        let duration = d.cycles.max(run.compute_cycles);
-        self.in_flight = Some(InFlight {
-            result: CompletedFrame { image: run.image.clone(), run },
-            completion_cycle: self.clock + duration,
-            occupancy: duration,
-        });
-        Ok(())
+        DeviceRun { occupancy: d.cycles.max(run.compute_cycles), run }
     }
 
     /// Advances the simulated clock (models GPU-side work happening while
@@ -364,6 +420,58 @@ mod tests {
         let mut gbu = Gbu::new(GbuConfig::paper());
         assert!(gbu.wait().is_none());
         assert_eq!(gbu.check_status(), GbuStatus::Idle);
+    }
+
+    /// The counters a run is compared by (`GbuRunResult` has no
+    /// `PartialEq`; the image is compared separately).
+    fn counters(r: &GbuRunResult) -> [u64; 10] {
+        [
+            r.compute_cycles,
+            r.rowgen_cycles,
+            r.pe_busy_cycles,
+            r.cache.hits,
+            r.cache.accesses,
+            r.dram_bytes,
+            r.instances,
+            r.spans,
+            r.fragments,
+            r.tiles,
+        ]
+    }
+
+    #[test]
+    fn pure_run_then_start_matches_render_image_and_render_scoped() {
+        let (splats, bins, cam) = inputs();
+        let plan = gbu_render::shard::ShardPlan::new(
+            gbu_render::shard::ShardStrategy::ContiguousRows,
+            &bins,
+            2,
+        );
+        let shard_bins = plan.shard_bins(&bins, 1);
+        for (scoped, bins) in [(false, &bins), (true, &shard_bins)] {
+            let mut direct = Gbu::new(GbuConfig::paper());
+            let mut composed = Gbu::new(GbuConfig::paper());
+            let run = if scoped {
+                direct.render_scoped(&splats, bins, &cam, Vec3::ZERO).unwrap();
+                composed.run_scoped(&splats, bins, &cam, Vec3::ZERO)
+            } else {
+                direct.render_image(&splats, bins, &cam, Vec3::ZERO).unwrap();
+                composed.run(&splats, bins, &cam, Vec3::ZERO)
+            };
+            // Computing a run leaves the device idle and its clock put.
+            assert_eq!(composed.check_status(), GbuStatus::Idle);
+            assert_eq!(composed.cycle(), 0);
+            composed.start(run.clone()).unwrap();
+            assert_eq!(composed.in_flight_occupancy(), Some(run.occupancy));
+            assert_eq!(composed.in_flight_occupancy(), direct.in_flight_occupancy());
+            assert_eq!(composed.in_flight_dram_bytes(), direct.in_flight_dram_bytes());
+            assert_eq!(composed.start(run).unwrap_err(), DeviceError::Busy);
+            let (a, b) = (direct.wait().unwrap(), composed.wait().unwrap());
+            assert_eq!(direct.cycle(), composed.cycle(), "scoped={scoped}");
+            assert_eq!(counters(&a.run), counters(&b.run), "scoped={scoped}");
+            assert_eq!(a.image, b.image, "scoped={scoped}");
+            assert_eq!(a.run.image, b.run.image, "scoped={scoped}");
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! needs, on `std::thread` alone:
 //!
 //! - a [`ThreadPool`] of persistent workers (no per-call thread spawn,
-//!   so even the thousands of tiny parallel regions of a serving sweep
-//!   stay cheap), driving *scoped* closures that may borrow caller stack
+//!   so even thousands of tiny parallel regions stay cheap), driving
+//!   *scoped* closures that may borrow caller stack
 //!   data;
 //! - [`ThreadPool::map_indexed`] — a parallel map whose output ordering
 //!   is **index-stable**: element `i` of the result is `f(i, &items[i])`

@@ -76,7 +76,7 @@ fn outputs_are_index_stable_across_thread_counts() {
 
 #[test]
 fn many_small_batches_are_cheap_and_exact() {
-    // The DevicePool-advance shape: thousands of tiny parallel regions.
+    // Thousands of tiny parallel regions.
     let pool = ThreadPool::new(4);
     let mut jobs = vec![0u64; 4];
     for _ in 0..5_000 {

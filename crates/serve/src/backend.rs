@@ -19,11 +19,13 @@
 //! pre-trait engine (pinned by `tests/api_equivalence.rs`).
 
 use crate::event::SessionId;
-use crate::pool::DevicePool;
+use crate::memo::{DeviceMemo, RunScope};
+use crate::pool::{DeviceJob, DevicePool};
 use crate::scheduler::FrameTicket;
 use crate::session::PreparedView;
 use gbu_render::shard::ShardStrategy;
 use gbu_render::FrameBuffer;
+use std::sync::Arc;
 
 /// How one session's frames execute on the backend.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -95,9 +97,10 @@ pub struct FrameDone {
     /// Wall cycle at which it completed (sharded: when the *last* shard
     /// landed).
     pub completed_at: u64,
-    /// The rendered image. For sharded frames the merged partials —
+    /// The rendered image, when the [`DeviceMemo`] retains images
+    /// (`None` otherwise). For sharded frames the merged partials —
     /// bit-identical to the unsharded render (pinned upstream).
-    pub image: FrameBuffer,
+    pub image: Option<Arc<FrameBuffer>>,
     /// Wall-cycle service time of each shard (submit → land), indexed by
     /// shard; empty for unsharded frames.
     pub shard_cycles: Vec<u64>,
@@ -120,6 +123,23 @@ pub fn shard_imbalance(shard_cycles: &[u64]) -> Option<f64> {
     let max = *shard_cycles.iter().max()?;
     let mean = shard_cycles.iter().sum::<u64>() as f64 / shard_cycles.len() as f64;
     Some(if mean > 0.0 { max as f64 / mean } else { 1.0 })
+}
+
+/// One frame to dispatch through [`ExecBackend::submit`].
+#[derive(Debug, Clone, Copy)]
+pub struct Submission<'a> {
+    /// The frame's prepared view.
+    pub view: &'a Arc<PreparedView>,
+    /// The admitted request the frame serves.
+    pub ticket: FrameTicket,
+    /// How the frame executes.
+    pub mode: ExecMode,
+    /// Host Step-❶/❷ device-cycles charged up front on every device the
+    /// frame occupies (0: no charge) — how the engine models host-GPU
+    /// preprocessing when [`crate::engine::PrepConfig`] is enabled, and
+    /// the lever the cross-session reuse discount pulls by passing 0 for
+    /// shared epochs.
+    pub prep_cycles: u64,
 }
 
 /// One unit of backend progress returned by [`ExecBackend::advance`].
@@ -172,35 +192,15 @@ pub trait ExecBackend: std::fmt::Debug {
     /// at least `shards` lanes each have one.)
     fn can_accept(&self, mode: ExecMode) -> bool;
 
-    /// Dispatches `view` on behalf of `ticket` in `mode`. Returns the
-    /// global device index the frame started on (sharded: the device
-    /// running shard 0) for the `Started` event.
+    /// Dispatches `job`, taking its device runs from `memo` (shared by
+    /// every lane). Returns the global device index the frame started on
+    /// (sharded: the device running shard 0) for the `Started` event.
     ///
     /// # Panics
     ///
     /// May panic when called without a passing [`ExecBackend::can_accept`]
     /// probe, or with a mode the backend does not support.
-    fn submit(&mut self, view: &PreparedView, ticket: FrameTicket, mode: ExecMode) -> usize;
-
-    /// [`ExecBackend::submit`] with an up-front host-preprocessing
-    /// charge: the frame additionally occupies its device(s) for
-    /// `prep_cycles` device-cycles of Step-❶/❷ work before GBU progress
-    /// starts — how the engine models host-GPU preprocessing when
-    /// [`crate::engine::PrepConfig`] is enabled (and the lever the
-    /// cross-session reuse discount pulls by passing 0 for shared
-    /// epochs). The default ignores the charge and delegates to
-    /// [`ExecBackend::submit`], so hand-rolled test backends keep
-    /// working unchanged.
-    fn submit_with_prep(
-        &mut self,
-        view: &PreparedView,
-        ticket: FrameTicket,
-        mode: ExecMode,
-        prep_cycles: u64,
-    ) -> usize {
-        let _ = prep_cycles;
-        self.submit(view, ticket, mode)
-    }
+    fn submit(&mut self, job: Submission<'_>, memo: &mut DeviceMemo) -> usize;
 
     /// Cancels every in-flight frame belonging to `session` (all shards
     /// of sharded frames), freeing their devices immediately. Returns the
@@ -227,14 +227,6 @@ pub trait ExecBackend: std::fmt::Debug {
     /// scratch buffer keeps the per-admission probe allocation-free once
     /// the buffer warms up.
     fn lane_backlogs_into(&self, out: &mut Vec<Vec<u64>>);
-
-    /// Allocating convenience wrapper over
-    /// [`ExecBackend::lane_backlogs_into`] (tests and one-off probes).
-    fn lane_backlogs(&self) -> Vec<Vec<u64>> {
-        let mut out = Vec::new();
-        self.lane_backlogs_into(&mut out);
-        out
-    }
 
     /// Whether `lane` is currently up. A single pool's only lane is
     /// always up; cluster lanes go down under a fleet plan's fault
@@ -313,22 +305,12 @@ impl ExecBackend for DevicePool {
         }
     }
 
-    fn submit(&mut self, view: &PreparedView, ticket: FrameTicket, mode: ExecMode) -> usize {
-        // Qualified: the pool's inherent `submit_with_prep` takes a
-        // device index and would shadow the trait method here.
-        ExecBackend::submit_with_prep(self, view, ticket, mode, 0)
-    }
-
-    fn submit_with_prep(
-        &mut self,
-        view: &PreparedView,
-        ticket: FrameTicket,
-        mode: ExecMode,
-        prep_cycles: u64,
-    ) -> usize {
-        assert_eq!(mode, ExecMode::Unsharded, "a single pool cannot execute sharded frames");
+    fn submit(&mut self, job: Submission<'_>, memo: &mut DeviceMemo) -> usize {
+        assert_eq!(job.mode, ExecMode::Unsharded, "a single pool cannot execute sharded frames");
         let device = self.idle_device().expect("submit requires an idle device");
-        DevicePool::submit_with_prep(self, device, view, ticket, prep_cycles);
+        let Submission { view, ticket, prep_cycles, .. } = job;
+        let job = DeviceJob { view, scope: RunScope::Frame, ticket, prep_cycles };
+        DevicePool::submit(self, device, job, memo);
         device
     }
 
@@ -354,7 +336,7 @@ impl ExecBackend for DevicePool {
                 ExecCompletion::Frame(FrameDone {
                     ticket: c.ticket,
                     completed_at: c.completed_at,
-                    image: c.frame.image,
+                    image: c.run.image,
                     shard_cycles: Vec::new(),
                 })
             })
@@ -398,7 +380,7 @@ mod tests {
                 deadline: u64::MAX,
             },
             completed_at: 0,
-            image: FrameBuffer::new(1, 1, gbu_math::Vec3::ZERO),
+            image: None,
             shard_cycles,
         };
         assert_eq!(done(vec![]).imbalance(), None);

@@ -15,15 +15,17 @@
 //! device render, and the per-shard service times are reported as an
 //! imbalance figure (critical path over mean).
 
-use crate::backend::{ExecBackend, ExecCompletion, ExecMode, FrameDone};
+use crate::backend::{ExecBackend, ExecCompletion, ExecMode, FrameDone, Submission};
 use crate::event::SessionId;
-use crate::pool::{DevicePool, PoolCompletion};
+use crate::memo::{DeviceMemo, RunScope};
+use crate::pool::{DeviceJob, DevicePool, PoolCompletion};
 use crate::scheduler::FrameTicket;
 use crate::session::PreparedView;
 use gbu_gpu::GpuConfig;
 use gbu_hw::GbuConfig;
 use gbu_render::shard::{ShardFeedback, ShardPlan, ShardStrategy};
 use gbu_render::FrameBuffer;
+use std::sync::Arc;
 
 /// A frame completed by the cluster: all shards landed and merged.
 #[derive(Debug)]
@@ -64,6 +66,8 @@ pub struct ShardedPool {
     pools: Vec<DevicePool>,
     strategy: ShardStrategy,
     pending: Vec<PendingFrame>,
+    /// Device runs of every lane, images retained for the merge.
+    memo: DeviceMemo,
 }
 
 impl ShardedPool {
@@ -91,6 +95,7 @@ impl ShardedPool {
                 .collect(),
             strategy,
             pending: Vec::new(),
+            memo: DeviceMemo::new(gbu, true, &gbu_telemetry::Recorder::disabled()),
         }
     }
 
@@ -137,7 +142,7 @@ impl ShardedPool {
     /// Panics when some lane has no idle device (check
     /// [`ShardedPool::can_accept`] first) or when a frame with the same
     /// ticket id is already pending.
-    pub fn submit(&mut self, view: &PreparedView, ticket: FrameTicket) -> f64 {
+    pub fn submit(&mut self, view: &Arc<PreparedView>, ticket: FrameTicket) -> f64 {
         assert!(
             self.pending.iter().all(|p| p.ticket.id != ticket.id),
             "ticket {:?} already has shards in flight",
@@ -147,8 +152,8 @@ impl ShardedPool {
         let submitted_at = self.clock();
         for (s, pool) in self.pools.iter_mut().enumerate() {
             let device = pool.idle_device().expect("submit requires an idle device per lane");
-            let shard_bins = plan.shard_bins(&view.bins, s);
-            pool.submit_scoped(device, &view.splats, &shard_bins, &view.camera, ticket);
+            let scope = RunScope::Shard { plan: &plan, shard: s };
+            pool.submit(device, DeviceJob { view, scope, ticket, prep_cycles: 0 }, &mut self.memo);
         }
         let predicted = plan.planned_imbalance();
         self.pending.push(PendingFrame {
@@ -210,9 +215,9 @@ impl ShardedPool {
             parts.into_iter().map(|p| p.expect("all shards landed")).collect();
         let completed_at = parts.iter().map(|p| p.completed_at).max().expect("at least one shard");
         let shard_cycles: Vec<u64> = parts.iter().map(|p| p.completed_at - submitted_at).collect();
-        let dram_bytes = parts.iter().map(|p| p.frame.run.dram_bytes).sum();
+        let dram_bytes = parts.iter().map(|p| p.run.dram_bytes).sum();
         let imbalance = crate::backend::shard_imbalance(&shard_cycles).expect("at least one shard");
-        let image = merge_part_images(&plan, width, height, &parts);
+        let image = merge_part_images(&plan, width, height, &parts).expect("images are retained");
         ShardedCompletion { ticket, completed_at, image, shard_cycles, dram_bytes, imbalance }
     }
 }
@@ -221,19 +226,17 @@ impl ShardedPool {
 /// image is full-size with background outside its rows; copy each
 /// shard's row bands over shard 0's image. Bit-identical to the
 /// unsharded device render (the per-row kernels are the same code).
+/// `None` when the runs carry no images (the memo does not retain them).
 fn merge_part_images(
     plan: &ShardPlan,
     width: u32,
     height: u32,
     parts: &[PoolCompletion],
-) -> FrameBuffer {
-    let mut image = parts[0].frame.image.clone();
+) -> Option<FrameBuffer> {
+    let mut image = FrameBuffer::clone(parts[0].run.image.as_deref()?);
     let w = width as usize;
-    for (s, part) in parts.iter().enumerate() {
-        if s == 0 {
-            continue;
-        }
-        let src = &part.frame.image;
+    for (s, part) in parts.iter().enumerate().skip(1) {
+        let src = part.run.image.as_deref()?;
         for &ty in &plan.shards[s].rows {
             let y0 = ty * plan.tile_size;
             let y1 = ((ty + 1) * plan.tile_size).min(height);
@@ -242,7 +245,7 @@ fn merge_part_images(
             image.pixels_mut()[lo..hi].copy_from_slice(&src.pixels()[lo..hi]);
         }
     }
-    image
+    Some(image)
 }
 
 /// One sharded frame mid-flight on the cluster backend.
@@ -369,17 +372,8 @@ impl ExecBackend for ClusterBackend {
         mode.lanes_needed() <= open && mode.lanes_needed() >= 1
     }
 
-    fn submit(&mut self, view: &PreparedView, ticket: FrameTicket, mode: ExecMode) -> usize {
-        self.submit_with_prep(view, ticket, mode, 0)
-    }
-
-    fn submit_with_prep(
-        &mut self,
-        view: &PreparedView,
-        ticket: FrameTicket,
-        mode: ExecMode,
-        prep_cycles: u64,
-    ) -> usize {
+    fn submit(&mut self, job: Submission<'_>, memo: &mut DeviceMemo) -> usize {
+        let Submission { view, ticket, mode, prep_cycles } = job;
         match mode {
             ExecMode::Unsharded => {
                 let home = self
@@ -396,7 +390,8 @@ impl ExecBackend for ClusterBackend {
                 });
                 let device =
                     self.lanes[lane].idle_device().expect("placement order holds open lanes");
-                self.lanes[lane].submit_with_prep(device, view, ticket, prep_cycles);
+                let job = DeviceJob { view, scope: RunScope::Frame, ticket, prep_cycles };
+                self.lanes[lane].submit(device, job, memo);
                 lane * self.devices_per_lane + device
             }
             ExecMode::Sharded { shards, strategy } => {
@@ -431,16 +426,13 @@ impl ExecBackend for ClusterBackend {
                 for (s, &lane) in lane_of_shard.iter().enumerate() {
                     let device =
                         self.lanes[lane].idle_device().expect("placement order holds open lanes");
-                    let shard_bins = plan.shard_bins(&view.bins, s);
                     // Every shard waits for the host's full Step-❶/❷
                     // pass — prep is not divisible across shards.
-                    self.lanes[lane].submit_scoped_with_prep(
+                    let scope = RunScope::Shard { plan: &plan, shard: s };
+                    self.lanes[lane].submit(
                         device,
-                        &view.splats,
-                        &shard_bins,
-                        &view.camera,
-                        ticket,
-                        prep_cycles,
+                        DeviceJob { view, scope, ticket, prep_cycles },
+                        memo,
                     );
                     occupancy_of_shard.push(
                         self.lanes[lane]
@@ -531,7 +523,7 @@ impl ExecBackend for ClusterBackend {
                     None => unsharded_done.push(FrameDone {
                         ticket: completion.ticket,
                         completed_at: completion.completed_at,
-                        image: completion.frame.image,
+                        image: completion.run.image,
                         shard_cycles: Vec::new(),
                     }),
                 }
@@ -555,7 +547,7 @@ impl ExecBackend for ClusterBackend {
                 parts.iter().map(|c| c.completed_at).max().expect("at least one shard");
             let shard_cycles: Vec<u64> =
                 parts.iter().map(|c| c.completed_at - p.submitted_at).collect();
-            let image = merge_part_images(&p.plan, p.width, p.height, &parts);
+            let image = merge_part_images(&p.plan, p.width, p.height, &parts).map(Arc::new);
             // Retain the measurement for the session's next Measured plan.
             let idx = p.ticket.session.index();
             if self.feedback.len() <= idx {
@@ -737,7 +729,7 @@ mod tests {
                     0.5,
                 );
                 assert!(cluster.can_accept());
-                cluster.submit(session.view(0), ticket(0));
+                cluster.submit(session.view_handle(0), ticket(0));
                 let mut done = drain(&mut cluster);
                 assert_eq!(done.len(), 1, "{strategy:?}/{shards}");
                 let c = done.remove(0);
@@ -764,7 +756,7 @@ mod tests {
             &GpuConfig::orin_nx(),
             0.5,
         );
-        cluster.submit(session.view(0), ticket(0));
+        cluster.submit(session.view_handle(0), ticket(0));
         assert_eq!(cluster.pending_frames(), 1);
         // Advance to the first shard landing: unless every shard happens
         // to land on the same cycle, the frame must still be pending.
@@ -794,7 +786,7 @@ mod tests {
             &GpuConfig::orin_nx(),
             0.5,
         );
-        cluster.submit(session.view(0), ticket(0));
+        cluster.submit(session.view_handle(0), ticket(0));
         let done = drain(&mut cluster);
         assert!(
             done[0].completed_at < unsharded_cycles,
@@ -815,9 +807,9 @@ mod tests {
             0.5,
         );
         // Two frames in flight at once: each lane has two devices.
-        cluster.submit(session.view(0), ticket(0));
+        cluster.submit(session.view_handle(0), ticket(0));
         assert!(cluster.can_accept(), "second device per lane is idle");
-        cluster.submit(session.view(1), ticket(1));
+        cluster.submit(session.view_handle(1), ticket(1));
         assert!(!cluster.can_accept());
         let done = drain(&mut cluster);
         assert_eq!(done.len(), 2);
@@ -840,13 +832,22 @@ mod tests {
             &GpuConfig::orin_nx(),
             0.5,
         );
-        cluster.submit(session.view(0), ticket(0));
-        cluster.submit(session.view(1), ticket(1));
+        cluster.submit(session.view_handle(0), ticket(0));
+        cluster.submit(session.view_handle(1), ticket(1));
     }
 
     // ------------------------------------------------------------------
     // ClusterBackend (the ExecBackend implementation)
     // ------------------------------------------------------------------
+
+    fn memo() -> DeviceMemo {
+        DeviceMemo::new(&GbuConfig::paper(), true, &gbu_telemetry::Recorder::disabled())
+    }
+
+    /// Frame `view` of `session` on behalf of `ticket(n)`, no prep charge.
+    fn job(session: &Session, view: u32, n: u32, mode: ExecMode) -> Submission<'_> {
+        Submission { view: session.view_handle(view), ticket: ticket(n), mode, prep_cycles: 0 }
+    }
 
     fn cluster_backend(lanes: usize, devices_per_lane: usize) -> ClusterBackend {
         ClusterBackend::new(
@@ -870,16 +871,17 @@ mod tests {
     fn backend_mixes_sharded_and_unsharded_frames() {
         let session = prepared();
         let (reference, _) = unsharded_baseline(&session);
+        let mut memo = memo();
         let mut backend = cluster_backend(3, 1);
         assert_eq!(backend.lane_count(), 3);
         assert_eq!(backend.device_count(), 3);
 
         let sharded = ExecMode::Sharded { shards: 2, strategy: ShardStrategy::CostBalanced };
         assert!(backend.can_accept(sharded));
-        backend.submit(session.view(0), ticket(0), sharded);
+        backend.submit(job(&session, 0, 0, sharded), &mut memo);
         assert!(backend.can_accept(ExecMode::Unsharded), "one lane still open");
         assert!(!backend.can_accept(sharded), "only one open lane left");
-        backend.submit(session.view(0), ticket(1), ExecMode::Unsharded);
+        backend.submit(job(&session, 0, 1, ExecMode::Unsharded), &mut memo);
         assert!(!backend.can_accept(ExecMode::Unsharded));
         assert_eq!(backend.in_flight_frames(), 2);
 
@@ -897,7 +899,7 @@ mod tests {
         assert_eq!(frames.len(), 2);
         for done in frames {
             assert_eq!(
-                done.image.pixels(),
+                done.image.as_ref().expect("images are retained").pixels(),
                 reference.pixels(),
                 "both modes must produce the identical image"
             );
@@ -915,11 +917,16 @@ mod tests {
     #[test]
     fn shard_events_precede_their_frame_completion() {
         let session = prepared();
+        let mut memo = memo();
         let mut backend = cluster_backend(4, 1);
         backend.submit(
-            session.view(0),
-            ticket(0),
-            ExecMode::Sharded { shards: 4, strategy: ShardStrategy::ContiguousRows },
+            job(
+                &session,
+                0,
+                0,
+                ExecMode::Sharded { shards: 4, strategy: ShardStrategy::ContiguousRows },
+            ),
+            &mut memo,
         );
         let completions = drain_backend(&mut backend);
         let frame_pos = completions
@@ -938,11 +945,16 @@ mod tests {
     #[test]
     fn backend_cancel_session_reclaims_all_shards() {
         let session = prepared();
+        let mut memo = memo();
         let mut backend = cluster_backend(2, 1);
         backend.submit(
-            session.view(0),
-            ticket(0),
-            ExecMode::Sharded { shards: 2, strategy: ShardStrategy::InterleavedRows },
+            job(
+                &session,
+                0,
+                0,
+                ExecMode::Sharded { shards: 2, strategy: ShardStrategy::InterleavedRows },
+            ),
+            &mut memo,
         );
         assert_eq!(backend.in_flight_frames(), 1);
         let cancelled = backend.cancel_session(crate::SessionId::from_index(0));
@@ -952,7 +964,7 @@ mod tests {
         assert!(backend
             .can_accept(ExecMode::Sharded { shards: 2, strategy: ShardStrategy::InterleavedRows }));
         // Other sessions' frames survive a cancel.
-        backend.submit(session.view(0), ticket(1), ExecMode::Unsharded);
+        backend.submit(job(&session, 0, 1, ExecMode::Unsharded), &mut memo);
         assert!(backend.cancel_session(crate::SessionId::from_index(9)).is_empty());
         assert_eq!(backend.in_flight_frames(), 1);
     }
@@ -960,11 +972,12 @@ mod tests {
     #[test]
     fn measured_feedback_is_retained_per_session() {
         let session = prepared();
+        let mut memo = memo();
         let mut backend = cluster_backend(2, 1);
         let mode = ExecMode::Sharded { shards: 2, strategy: ShardStrategy::Measured };
         let sid = crate::SessionId::from_index(0);
         assert!(backend.session_feedback(sid).is_none(), "no history before the first frame");
-        backend.submit(session.view(0), ticket(0), mode);
+        backend.submit(job(&session, 0, 0, mode), &mut memo);
         drain_backend(&mut backend);
         let fb = backend.session_feedback(sid).expect("feedback after first completion");
         assert_eq!(fb.rows.len(), 2);
@@ -973,7 +986,7 @@ mod tests {
         // A second frame replans with the measurement and still merges
         // bit-identically.
         let (reference, _) = unsharded_baseline(&session);
-        backend.submit(session.view(0), ticket(1), mode);
+        backend.submit(job(&session, 0, 1, mode), &mut memo);
         let completions = drain_backend(&mut backend);
         let done = completions
             .iter()
@@ -982,16 +995,17 @@ mod tests {
                 ExecCompletion::Shard { .. } => None,
             })
             .expect("frame completed");
-        assert_eq!(done.image.pixels(), reference.pixels());
+        assert_eq!(done.image.as_ref().expect("images are retained").pixels(), reference.pixels());
     }
 
     #[test]
     fn kill_lane_reclaims_whole_sharded_frames() {
         let session = prepared();
+        let mut memo = memo();
         let mut backend = cluster_backend(3, 1);
         let sharded = ExecMode::Sharded { shards: 2, strategy: ShardStrategy::ContiguousRows };
-        backend.submit(session.view(0), ticket(0), sharded);
-        backend.submit(session.view(0), ticket(1), ExecMode::Unsharded);
+        backend.submit(job(&session, 0, 0, sharded), &mut memo);
+        backend.submit(job(&session, 0, 1, ExecMode::Unsharded), &mut memo);
         assert_eq!(backend.in_flight_frames(), 2);
 
         // The sharded frame occupies lanes 0 and 1; killing lane 1 must
@@ -1003,7 +1017,9 @@ mod tests {
         assert_eq!(backend.in_flight_frames(), 1);
         assert!(!backend.lane_alive(1));
         assert_eq!(backend.live_lane_count(), 2);
-        assert_eq!(backend.lane_backlogs().len(), 2, "dead lanes leave the backlog view");
+        let mut backlogs = Vec::new();
+        backend.lane_backlogs_into(&mut backlogs);
+        assert_eq!(backlogs.len(), 2, "dead lanes leave the backlog view");
         assert!(!backend.can_accept(sharded), "one open live lane left");
         assert!(backend.can_accept(ExecMode::Unsharded));
 
@@ -1026,17 +1042,18 @@ mod tests {
     #[test]
     fn dead_lanes_keep_the_lockstep_clock() {
         let session = prepared();
+        let mut memo = memo();
         let mut backend = cluster_backend(2, 1);
         // Lane 0 is the clock source; kill it and run a frame on lane 1.
         backend.kill_lane(0);
-        backend.submit(session.view(0), ticket(0), ExecMode::Unsharded);
+        backend.submit(job(&session, 0, 0, ExecMode::Unsharded), &mut memo);
         let done = drain_backend(&mut backend);
         assert_eq!(done.len(), 1);
         let t = ExecBackend::clock(&backend);
         assert!(t > 0, "dead lane 0 still ticks the shared clock");
         // A restored lane rejoins at the shared clock, not at zero.
         backend.restore_lane(0);
-        backend.submit(session.view(0), ticket(1), ExecMode::Unsharded);
+        backend.submit(job(&session, 0, 1, ExecMode::Unsharded), &mut memo);
         let done = drain_backend(&mut backend);
         assert_eq!(done.len(), 1);
         let ExecCompletion::Frame(f) = &done[0] else { panic!("unsharded completion") };
@@ -1046,32 +1063,34 @@ mod tests {
     #[test]
     fn affinity_steers_unsharded_placement() {
         let session = prepared();
+        let mut memo = memo();
         let mut backend = cluster_backend(2, 1);
         let sid = crate::SessionId::from_index(0);
         // Least-busy placement would pick lane 0; affinity overrides.
         backend.set_lane_affinity(sid, Some(1));
-        let device = backend.submit(session.view(0), ticket(0), ExecMode::Unsharded);
+        let device = backend.submit(job(&session, 0, 0, ExecMode::Unsharded), &mut memo);
         assert_eq!(device, 1, "home lane 1, device 0 of 1 per lane");
         drain_backend(&mut backend);
         // A dead home lane falls back to least-busy placement.
         backend.kill_lane(1);
-        let device = backend.submit(session.view(0), ticket(1), ExecMode::Unsharded);
+        let device = backend.submit(job(&session, 0, 1, ExecMode::Unsharded), &mut memo);
         assert_eq!(device, 0);
         drain_backend(&mut backend);
         // Clearing the pin restores least-busy placement.
         backend.restore_lane(1);
         backend.set_lane_affinity(sid, None);
-        let device = backend.submit(session.view(0), ticket(2), ExecMode::Unsharded);
+        let device = backend.submit(job(&session, 0, 2, ExecMode::Unsharded), &mut memo);
         assert_eq!(device, 0);
     }
 
     #[test]
     fn measured_feedback_survives_lane_churn() {
         let session = prepared();
+        let mut memo = memo();
         let mut backend = cluster_backend(2, 1);
         let mode = ExecMode::Sharded { shards: 2, strategy: ShardStrategy::Measured };
         let sid = crate::SessionId::from_index(0);
-        backend.submit(session.view(0), ticket(0), mode);
+        backend.submit(job(&session, 0, 0, mode), &mut memo);
         drain_backend(&mut backend);
         assert!(backend.session_feedback(sid).is_some());
         backend.kill_lane(0);
@@ -1088,11 +1107,12 @@ mod tests {
         // disguise: identical completion times and device placement.
         let session = prepared();
         let mut pool = DevicePool::new(2, &GbuConfig::paper(), &GpuConfig::orin_nx(), 0.5);
+        let mut memo = memo();
         let mut backend = cluster_backend(1, 2);
-        ExecBackend::submit(&mut pool, session.view(0), ticket(0), ExecMode::Unsharded);
-        ExecBackend::submit(&mut pool, session.view(1), ticket(1), ExecMode::Unsharded);
-        backend.submit(session.view(0), ticket(0), ExecMode::Unsharded);
-        backend.submit(session.view(1), ticket(1), ExecMode::Unsharded);
+        ExecBackend::submit(&mut pool, job(&session, 0, 0, ExecMode::Unsharded), &mut memo);
+        ExecBackend::submit(&mut pool, job(&session, 1, 1, ExecMode::Unsharded), &mut memo);
+        backend.submit(job(&session, 0, 0, ExecMode::Unsharded), &mut memo);
+        backend.submit(job(&session, 1, 1, ExecMode::Unsharded), &mut memo);
         loop {
             let a = ExecBackend::next_completion_dt(&pool);
             let b = ExecBackend::next_completion_dt(&backend);

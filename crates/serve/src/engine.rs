@@ -29,21 +29,24 @@
 //! one-shot draining — the API-equivalence property test pins this, for
 //! both backends.
 
-use crate::backend::{BackendKind, ExecBackend, ExecCompletion, ExecMode};
+use crate::backend::{BackendKind, ExecBackend, ExecCompletion, ExecMode, Submission};
 use crate::cluster::ClusterBackend;
 use crate::event::{
     DropReason, FrameId, FrameStatus, RejectReason, RequeueReason, ServeEvent, SessionId,
 };
 use crate::fleet::{AutoscaleConfig, FleetAction, FleetConfig};
+use crate::memo::{DeviceMemo, ViewId};
 use crate::metrics::{RunInfo, ServeMetrics, ServeReport};
 use crate::pool::DevicePool;
 use crate::quality::QualityGovernor;
 use crate::scheduler::{AdmissionControl, FrameTicket, Policy, Scheduler};
-use crate::session::{probe_view_cycles, PreparedView, Session, SessionSpec};
+use crate::session::{PreparedView, Session, SessionSpec};
 use crate::store::SceneStore;
 use gbu_gpu::GpuConfig;
 use gbu_hw::GbuConfig;
 use gbu_render::FrameBuffer;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Configuration of one serving engine.
 #[derive(Debug, Clone)]
@@ -267,19 +270,14 @@ struct QualityRuntime {
     next_tick: Option<u64>,
     /// Decision ticks to sit out after a shed/recover step.
     cooldown: u32,
-    /// Degraded-view cache: `(exact view Arc pointer, rung)` → the
-    /// compacted [`PreparedView`] and its probed device occupancy.
-    /// Pointer identity keys work because sessions hold their prepared
-    /// views alive for the engine's lifetime (same ledger scheme as
-    /// `prep_paid`).
-    views: std::collections::HashMap<(usize, usize), (std::sync::Arc<PreparedView>, u64)>,
-    /// Exact-view occupancy cache (Arc pointer → probed cycles), for the
-    /// cycles-saved accounting.
-    exact_cycles: std::collections::HashMap<usize, u64>,
+    /// Degraded-view cache: `(exact view, rung)` → the compacted
+    /// [`PreparedView`]. Its occupancy, like the exact view's, comes from
+    /// the engine's [`DeviceMemo`].
+    views: HashMap<(ViewId, usize), Arc<PreparedView>>,
     /// Frames admitted as degraded counter-offers: frame id → (pinned
     /// rung, degraded min-service cycles). Entries retire at dispatch or
     /// drop.
-    pinned: std::collections::HashMap<u64, (usize, u64)>,
+    pinned: HashMap<u64, (usize, u64)>,
     /// Telemetry gauge tracking the global level through shed/recover.
     level_gauge: gbu_telemetry::Gauge,
 }
@@ -318,7 +316,7 @@ pub struct ServeEngine {
     pending: Vec<ServeEvent>,
     /// Completed frames' rendered images awaiting collection
     /// ([`ServeConfig::retain_images`] only; empty otherwise).
-    images: Vec<(FrameId, FrameBuffer)>,
+    images: Vec<(FrameId, Arc<FrameBuffer>)>,
     /// Highest cycle the host has stepped to; pushed submissions are
     /// stamped with this time (the backend clock lags at the last event).
     horizon: u64,
@@ -346,11 +344,13 @@ pub struct ServeEngine {
     /// fresh `Vec<Vec<u64>>` per probe.
     backlog_scratch: std::cell::RefCell<Vec<Vec<u64>>>,
     /// Cross-session preprocessing-reuse ledger
-    /// ([`PrepConfig::share`]): per shared view handle (keyed by `Arc`
-    /// pointer identity), the wall cycle its Step-❶/❷ charge was last
-    /// paid. A dispatch within the camera-epoch window of a paid entry
-    /// rides free.
-    prep_paid: std::collections::HashMap<usize, u64>,
+    /// ([`PrepConfig::share`]): per shared view handle, the wall cycle
+    /// its Step-❶/❷ charge was last paid. A dispatch within the
+    /// camera-epoch window of a paid entry rides free.
+    prep_paid: HashMap<ViewId, u64>,
+    /// Device runs computed once per distinct (view, shard rows), shared
+    /// by every lane of the backend and by the quality probes.
+    memo: DeviceMemo,
 }
 
 impl ServeEngine {
@@ -427,14 +427,12 @@ impl ServeEngine {
                 level: 0,
                 next_tick: cfg.quality.shed_on_pressure.then_some(cfg.quality.interval),
                 cooldown: 0,
-                views: std::collections::HashMap::new(),
-                exact_cycles: std::collections::HashMap::new(),
-                pinned: std::collections::HashMap::new(),
+                views: HashMap::new(),
+                pinned: HashMap::new(),
                 level_gauge,
             }
         });
         Self {
-            cfg,
             backend,
             scheduler,
             slots: Vec::new(),
@@ -450,7 +448,9 @@ impl ServeEngine {
             fleet,
             quality,
             backlog_scratch: std::cell::RefCell::new(Vec::new()),
-            prep_paid: std::collections::HashMap::new(),
+            prep_paid: HashMap::new(),
+            memo: DeviceMemo::new(&cfg.gbu, cfg.retain_images, &cfg.telemetry),
+            cfg,
         }
     }
 
@@ -552,9 +552,7 @@ impl ServeEngine {
     /// never attached or already detached.
     pub fn detach_session(&mut self, id: SessionId) -> bool {
         let Some(slot) = self.slots.get_mut(id.index()) else { return false };
-        if slot.take().is_none() {
-            return false;
-        }
+        let Some(retired) = slot.take() else { return false };
         let now = self.now();
         // The backend clock lags at the last event; bring it forward to
         // the detach time so the cancellation frees devices *now*, not
@@ -584,7 +582,47 @@ impl ServeEngine {
                 }
             }
         }
+        self.release_views(retired.session);
         true
+    }
+
+    /// Drops the per-view cache entries (memoised device runs, prep
+    /// stamps, degraded siblings) of a detached session's views that
+    /// nothing can dispatch again — views only those entries still hold.
+    /// Views shared through a scene store or with another session stay
+    /// cached, so releasing never changes what the engine simulates; it
+    /// only keeps a long-lived engine's caches from growing with every
+    /// session it ever served.
+    fn release_views(&mut self, retired: Session) {
+        let views = retired.view_handles().to_vec();
+        drop(retired);
+        for view in views {
+            let key = ViewId::of(&view);
+            let rungs = self
+                .quality
+                .as_ref()
+                .map_or(0, |q| q.views.keys().filter(|(k, _)| *k == key).count());
+            // Held here by `view` and `key`, and by each cache entry.
+            let cached = 2
+                + usize::from(self.memo.holds(&view))
+                + usize::from(self.prep_paid.contains_key(&key))
+                + rungs;
+            if Arc::strong_count(&view) > cached {
+                continue;
+            }
+            self.memo.forget(&view);
+            self.prep_paid.remove(&key);
+            if let Some(q) = self.quality.as_mut() {
+                let memo = &mut self.memo;
+                q.views.retain(|(k, _), degraded| {
+                    let keep = *k != key;
+                    if !keep {
+                        memo.forget(degraded);
+                    }
+                    keep
+                });
+            }
+        }
     }
 
     /// Non-blocking submission: requests one frame of `session` rendering
@@ -644,7 +682,7 @@ impl ServeEngine {
     /// image — bit-identical to the unsharded render.
     pub fn take_image(&mut self, frame: FrameId) -> Option<FrameBuffer> {
         let idx = self.images.iter().position(|(id, _)| *id == frame)?;
-        Some(self.images.swap_remove(idx).1)
+        Some(Arc::unwrap_or_clone(self.images.swap_remove(idx).1))
     }
 
     /// `true` when nothing remains to simulate: no pending events, no
@@ -762,8 +800,9 @@ impl ServeEngine {
                         done.completed_at,
                         &done.shard_cycles,
                     );
-                    if self.cfg.retain_images {
-                        self.images.push((done.ticket.id, done.image));
+                    // Present exactly when the memo retains images.
+                    if let Some(image) = done.image {
+                        self.images.push((done.ticket.id, image));
                     }
                     self.emit(ServeEvent::Completed {
                         frame: done.ticket.id,
@@ -1025,33 +1064,31 @@ impl ServeEngine {
         PreparedView { splats, bins, camera: view.camera.clone(), prep: view.prep }
     }
 
-    /// Device-occupancy cycles of `view` degraded to ladder rung `rung`,
-    /// building and caching the degraded view on first use.
-    fn degraded_view_cycles(
+    /// The degraded sibling of `view` at ladder rung `rung`, built and
+    /// cached on first use.
+    fn degraded_view(
         q: &mut QualityRuntime,
         cfg: &ServeConfig,
-        view: &std::sync::Arc<PreparedView>,
+        view: &Arc<PreparedView>,
         rung: usize,
-    ) -> u64 {
-        let key = (std::sync::Arc::as_ptr(view) as usize, rung);
-        if let Some(&(_, cycles)) = q.views.get(&key) {
-            return cycles;
-        }
-        let degraded = Self::degrade_view(view, cfg.quality.ladder[rung - 1]);
-        let cycles = probe_view_cycles(&degraded, &cfg.gbu);
-        q.views.insert(key, (std::sync::Arc::new(degraded), cycles));
-        cycles
+    ) -> Arc<PreparedView> {
+        let level = cfg.quality.ladder[rung - 1];
+        Arc::clone(
+            q.views
+                .entry((ViewId::of(view), rung))
+                .or_insert_with(|| Arc::new(Self::degrade_view(view, level))),
+        )
     }
 
-    /// Device-occupancy cycles of the exact `view`, cached per handle —
-    /// the baseline for the cycles-saved accounting.
-    fn exact_view_cycles(
+    /// Device-occupancy cycles of `view` degraded to ladder rung `rung`.
+    fn degraded_view_cycles(
         q: &mut QualityRuntime,
+        memo: &mut DeviceMemo,
         cfg: &ServeConfig,
-        view: &std::sync::Arc<PreparedView>,
+        view: &Arc<PreparedView>,
+        rung: usize,
     ) -> u64 {
-        let key = std::sync::Arc::as_ptr(view) as usize;
-        *q.exact_cycles.entry(key).or_insert_with(|| probe_view_cycles(view, &cfg.gbu))
+        memo.occupancy(&Self::degraded_view(q, cfg, view, rung))
     }
 
     /// The counter-offer admission probe: the deepest ladder rung and
@@ -1062,7 +1099,7 @@ impl ServeEngine {
         let rung = self.cfg.quality.ladder.len();
         let result = self.slots.get(ticket.session.index()).and_then(|s| s.as_ref()).map(|slot| {
             let view = slot.session.view_handle(ticket.frame).clone();
-            let cycles = Self::degraded_view_cycles(&mut q, &self.cfg, &view, rung);
+            let cycles = Self::degraded_view_cycles(&mut q, &mut self.memo, &self.cfg, &view, rung);
             (rung, slot.mode.min_service(cycles))
         });
         self.quality = Some(q);
@@ -1076,10 +1113,10 @@ impl ServeEngine {
     /// governor is inactive.
     fn quality_substitute(
         &mut self,
-        view: std::sync::Arc<PreparedView>,
+        view: Arc<PreparedView>,
         ticket: FrameTicket,
         now: u64,
-    ) -> std::sync::Arc<PreparedView> {
+    ) -> Arc<PreparedView> {
         let Some(mut q) = self.quality.take() else { return view };
         let pinned = q.pinned.remove(&ticket.id.index());
         let rung = pinned.map_or(q.level, |(r, _)| r.max(q.level));
@@ -1090,10 +1127,9 @@ impl ServeEngine {
             }
             view
         } else {
-            let exact = Self::exact_view_cycles(&mut q, &self.cfg, &view);
-            let cycles = Self::degraded_view_cycles(&mut q, &self.cfg, &view, rung);
-            let degraded = q.views[&(std::sync::Arc::as_ptr(&view) as usize, rung)].0.clone();
-            let saved = exact.saturating_sub(cycles);
+            let exact = self.memo.occupancy(&view);
+            let degraded = Self::degraded_view(&mut q, &self.cfg, &view, rung);
+            let saved = exact.saturating_sub(self.memo.occupancy(&degraded));
             self.metrics.quality_degraded(saved);
             if self.recorder.is_enabled() {
                 self.recorder.mark(
@@ -1598,7 +1634,13 @@ impl ServeEngine {
                         (0, _) | (_, None) => slot_min,
                         (rung, Some(slot)) => {
                             let view = slot.session.view_handle(t.frame).clone();
-                            let cycles = Self::degraded_view_cycles(q, &self.cfg, &view, rung);
+                            let cycles = Self::degraded_view_cycles(
+                                q,
+                                &mut self.memo,
+                                &self.cfg,
+                                &view,
+                                rung,
+                            );
                             slot.mode.min_service(cycles).min(slot_min)
                         }
                     }
@@ -1650,13 +1692,10 @@ impl ServeEngine {
     /// the window pays the full Step-❶/❷ cost, co-scheduled frames
     /// over the same `Arc` ride for free. Classic (non-store) sessions
     /// hold distinct `Arc`s even for identical content, so they can
-    /// never falsely share — pointer identity is the key.
-    fn prep_charge_cycles(
-        &mut self,
-        view: &std::sync::Arc<PreparedView>,
-        period: u64,
-        now: u64,
-    ) -> u64 {
+    /// never falsely share — the key is the view's identity ([`ViewId`],
+    /// which keeps the view alive, so no later view can take over its
+    /// address).
+    fn prep_charge_cycles(&mut self, view: &Arc<PreparedView>, period: u64, now: u64) -> u64 {
         let Some(prep) = self.cfg.prep else { return 0 };
         let w = gbu_gpu::FrameWorkload {
             gaussians: view.prep.gaussians as f64,
@@ -1668,7 +1707,7 @@ impl ServeEngine {
             + gbu_gpu::timing::step2_time(&w, &self.cfg.gpu);
         let full = (seconds * self.cfg.gbu.clock_ghz * 1e9).round().max(1.0) as u64;
         if prep.share {
-            let key = std::sync::Arc::as_ptr(view) as usize;
+            let key = ViewId::of(view);
             let window = prep.share_window_cycles.unwrap_or(period).max(1);
             if let Some(&paid) = self.prep_paid.get(&key) {
                 if now.saturating_sub(paid) < window {
@@ -1708,7 +1747,11 @@ impl ServeEngine {
             } else {
                 0
             };
-            let open = if reserve > 0 { self.backend.open_lane_count() } else { 0 };
+            // One capacity probe per round: a frame needing k lanes fits
+            // iff k lanes are open — `can_accept` on both backends (a
+            // single pool has one lane, and sharded sessions attach only
+            // to clusters).
+            let open = self.backend.open_lane_count();
             let eligible_mask: Vec<bool> = self
                 .queue
                 .iter()
@@ -1718,7 +1761,7 @@ impl ServeEngine {
                         .expect("queued frames of detached sessions are dropped at detach");
                     let k = slot.mode.lanes_needed();
                     t.arrival <= now
-                        && self.backend.can_accept(slot.mode)
+                        && k <= open
                         && (reserve == 0 || k >= reserve || open >= reserve + k)
                 })
                 .collect();
@@ -1755,7 +1798,8 @@ impl ServeEngine {
             let view = slot.session.view_handle(ticket.frame).clone();
             let view = self.quality_substitute(view, ticket, now);
             let prep_cycles = self.prep_charge_cycles(&view, period, now);
-            let device = self.backend.submit_with_prep(&view, ticket, mode, prep_cycles);
+            let job = Submission { view: &view, ticket, mode, prep_cycles };
+            let device = self.backend.submit(job, &mut self.memo);
             self.metrics.start(ticket, now);
             if self.recorder.is_enabled() {
                 self.recorder.mark(
@@ -2578,5 +2622,64 @@ mod tests {
         };
         let private = run_workload(cfg, &classic, 0.5);
         assert_eq!(private.preprocessing.frames_shared, 0, "private views never falsely share");
+    }
+
+    #[test]
+    fn view_keyed_caches_hold_their_views_alive() {
+        // Two content-identical classic sessions hold distinct views:
+        // distinct keys in every per-view cache.
+        let a = Session::prepare(tiny_spec(0, 2), &GbuConfig::paper());
+        let b = Session::prepare(tiny_spec(0, 2), &GbuConfig::paper());
+        assert_eq!(a.view(0).splats.len(), b.view(0).splats.len());
+        assert_ne!(ViewId::of(a.view_handle(0)), ViewId::of(b.view_handle(0)));
+        let (weak_a, weak_b) = (Arc::downgrade(a.view_handle(0)), Arc::downgrade(b.view_handle(0)));
+
+        let cfg = ServeConfig {
+            prep: Some(PrepConfig { share: true, ..PrepConfig::default() }),
+            quality: QualityGovernor {
+                ladder: QualityGovernor::default_ladder(),
+                counter_offer: true,
+                ..QualityGovernor::default()
+            },
+            ..ServeConfig::default()
+        };
+        let mut engine = ServeEngine::new(cfg);
+        let ids = [engine.attach_session(a.clone()), engine.attach_session(b)];
+        engine.drain();
+        assert_eq!(engine.report().preprocessing.frames_shared, 0, "no false sharing");
+        assert_eq!(engine.prep_paid.len(), 4, "two views dispatched per session");
+        // Probe a degraded sibling of each session's first view.
+        let mut q = engine.quality.take().expect("governor is active");
+        for id in ids {
+            let slot = engine.slots[id.index()].as_ref().expect("attached");
+            let view = Arc::clone(slot.session.view_handle(0));
+            ServeEngine::degraded_view_cycles(&mut q, &mut engine.memo, &engine.cfg, &view, 1);
+        }
+        engine.quality = Some(q);
+        let cached = |engine: &ServeEngine, view: &Arc<PreparedView>| {
+            let key = ViewId::of(view);
+            let q = engine.quality.as_ref().expect("governor is active");
+            engine.memo.holds(view) && engine.prep_paid.contains_key(&key) && {
+                q.views.contains_key(&(key, 1))
+            }
+        };
+
+        // `a` is still held outside the engine when it detaches, so its
+        // entries stay; once that copy is gone the keys alone keep the
+        // view alive — no later view can be allocated at its address.
+        assert!(engine.detach_session(ids[0]));
+        drop(a);
+        let view_a = weak_a.upgrade().expect("the caches keep their keys alive");
+        assert!(cached(&engine, &view_a));
+        drop(view_a);
+
+        // `b` lives only in the engine: detaching it releases its views.
+        let view_b = weak_b.upgrade().expect("attached");
+        assert!(cached(&engine, &view_b));
+        drop(view_b);
+        assert!(engine.detach_session(ids[1]));
+        assert!(weak_b.upgrade().is_none(), "a detached session's views are released");
+        assert_eq!(engine.prep_paid.len(), 2, "only a's two views remain");
+        assert_eq!(engine.quality.as_ref().expect("governor is active").views.len(), 1);
     }
 }

@@ -34,10 +34,16 @@
 //!   deadline classes). Sessions with `frames > 0` generate requests on a
 //!   QoS timer; push-only sessions (`frames == 0`) are driven entirely by
 //!   `submit_frame`;
-//! - [`pool`]: a [`DevicePool`] owns N [`gbu_core::Gbu`] devices advanced
-//!   on **one** simulated clock with shared-DRAM bandwidth contention
-//!   (the paper's Limitation 2, generalised to a pool), plus per-device
-//!   cancellation over the device's `cancel_in_flight` hook;
+//! - [`pool`]: a [`DevicePool`] owns N GBU device slots advanced on
+//!   **one** simulated clock with shared-DRAM bandwidth contention (the
+//!   paper's Limitation 2, generalised to a pool), plus per-device
+//!   cancellation (the device's `cancel_in_flight` hook). Its single
+//!   entry point, [`DevicePool::submit`], starts a [`DeviceJob`];
+//! - [`memo`]: the per-engine [`DeviceMemo`] — a GBU run is a pure
+//!   function of its inputs ([`gbu_core::Gbu::run`]), so each distinct
+//!   (view, shard rows) run is computed once and replayed on every
+//!   dispatch; keyed on [`ViewId`] (the view's `Arc`, compared by
+//!   pointer), counters only unless [`ServeConfig::retain_images`];
 //! - [`cluster`]: the [`ClusterBackend`] — N [`DevicePool`] lanes on one
 //!   lockstep clock, executing unsharded frames on the least-busy lane
 //!   and sharded frames (planned by `gbu_render::shard`, including the
@@ -221,6 +227,7 @@ pub mod cluster;
 pub mod engine;
 pub mod event;
 pub mod fleet;
+pub mod memo;
 pub mod metrics;
 pub mod pool;
 pub mod quality;
@@ -229,7 +236,7 @@ pub mod session;
 pub mod store;
 pub mod workload;
 
-pub use backend::{BackendKind, ExecBackend, ExecCompletion, ExecMode, FrameDone};
+pub use backend::{BackendKind, ExecBackend, ExecCompletion, ExecMode, FrameDone, Submission};
 pub use cluster::{ClusterBackend, ShardedCompletion, ShardedPool};
 pub use engine::{
     calibrated_clock_ghz, run_sessions, run_workload, PrepConfig, ServeConfig, ServeEngine,
@@ -241,12 +248,13 @@ pub use event::{
 pub use fleet::{
     AutoscaleConfig, FleetAction, FleetConfig, FleetEvent, FleetPlan, MigrationConfig,
 };
+pub use memo::{DeviceMemo, RunRecord, RunScope, ViewId};
 pub use metrics::{
     DropBreakdown, FrameRecord, LifetimeCounts, PrepCounts, QualityCounts, RejectBreakdown,
     RequeueBreakdown, RunInfo, ServeMetrics, ServeReport, SessionReport, ShardFrameRecord,
     ShardingReport,
 };
-pub use pool::{DevicePool, PoolCompletion};
+pub use pool::{DeviceJob, DevicePool, PoolCompletion};
 pub use quality::QualityGovernor;
 pub use scheduler::{AdmissionControl, Edf, Fcfs, FrameTicket, Policy, RoundRobin, Scheduler};
 pub use session::{PreparedView, QosTarget, Session, SessionContent, SessionSpec, ViewPrepStats};

@@ -1,26 +1,25 @@
 //! A pool of GBU devices advanced on one simulated clock with
 //! shared-DRAM bandwidth contention.
 //!
-//! Each device is a [`gbu_core::Gbu`] driven through the paper's
-//! asynchronous `GBU_render_image` / `GBU_check_status` programming model.
-//! The pool owns the *wall* clock; every busy device makes progress at a
-//! rate `≤ 1` device-cycle per wall-cycle. When the sum of the active
-//! frames' feature-fetch bandwidths exceeds the GBUs' share of LPDDR
-//! bandwidth (the paper's Limitation 2 — the GBU shares DRAM with the
-//! GPU), every active device is slowed by the same factor, exactly like
-//! fair-share memory throttling. Rates only change at submit/completion
-//! boundaries, so advancing event-to-event is exact, not a discretisation.
+//! Each device slot executes one frame at a time in the paper's
+//! asynchronous `GBU_render_image` / `GBU_check_status` programming
+//! model. The run itself ([`gbu_core::Gbu::run`]) is computed once per
+//! distinct (view, scope) by the engine's [`DeviceMemo`]; the slot holds
+//! the device for the run's occupancy. The pool owns the *wall* clock;
+//! every busy device makes progress at a rate `≤ 1` device-cycle per
+//! wall-cycle. When the sum of the active frames' feature-fetch
+//! bandwidths exceeds the GBUs' share of LPDDR bandwidth (the paper's
+//! Limitation 2 — the GBU shares DRAM with the GPU), every active device
+//! is slowed by the same factor, exactly like fair-share memory
+//! throttling. Rates only change at submit/completion boundaries, so
+//! advancing event-to-event is exact, not a discretisation.
 
+use crate::memo::{DeviceMemo, RunRecord, RunScope};
 use crate::scheduler::FrameTicket;
 use crate::session::PreparedView;
-use gbu_core::device::CompletedFrame;
-use gbu_core::Gbu;
 use gbu_gpu::GpuConfig;
 use gbu_hw::GbuConfig;
-use gbu_math::Vec3;
-use gbu_render::binning::TileBins;
-use gbu_render::Splat2D;
-use gbu_scene::Camera;
+use std::sync::Arc;
 
 /// A frame completed by the pool, tagged with its ticket and wall-clock
 /// completion time.
@@ -32,13 +31,32 @@ pub struct PoolCompletion {
     pub device: usize,
     /// Wall cycle at which it completed.
     pub completed_at: u64,
-    /// The rendered frame and its hardware counters.
-    pub frame: CompletedFrame,
+    /// The run's counters, and its image when the memo retains images.
+    pub run: RunRecord,
+}
+
+/// One device run to start on an idle device: a whole frame or one
+/// shard of it, with an optional host-preprocessing charge.
+#[derive(Debug, Clone, Copy)]
+pub struct DeviceJob<'a> {
+    /// The frame's prepared view.
+    pub view: &'a Arc<PreparedView>,
+    /// Which part of the frame the device renders.
+    pub scope: RunScope<'a>,
+    /// The admitted request the run serves.
+    pub ticket: FrameTicket,
+    /// Host Step-❶/❷ device-cycles the run occupies the device for
+    /// before GBU progress starts (0: no charge).
+    pub prep_cycles: u64,
 }
 
 #[derive(Debug)]
 struct ActiveFrame {
     ticket: FrameTicket,
+    /// The run being executed.
+    run: RunRecord,
+    /// GBU device-cycles of the run still to execute (after `prep`).
+    remaining: u64,
     /// Feature-fetch bandwidth demand in bytes per *device* cycle.
     demand: f64,
     /// Fractional device-cycle accumulator (contention rates are not
@@ -49,16 +67,16 @@ struct ActiveFrame {
     started: u64,
     /// Host-preprocessing device-cycles still to burn before the GBU
     /// makes progress — the Step-❶/❷ charge of
-    /// [`DevicePool::submit_with_prep`]. The slot is occupied (and busy,
-    /// and subject to DRAM contention) while the host GPU produces the
-    /// frame's artifacts; 0 on the classic submit path.
+    /// [`DeviceJob::prep_cycles`]. The slot is occupied (and busy, and
+    /// subject to DRAM contention) while the host GPU produces the
+    /// frame's artifacts; 0 without a charge.
     prep: u64,
 }
 
 /// N GBU devices on one simulated clock with a shared DRAM budget.
 #[derive(Debug)]
 pub struct DevicePool {
-    devices: Vec<Gbu>,
+    /// One slot per device: the run it executes, `None` when idle.
     active: Vec<Option<ActiveFrame>>,
     clock: u64,
     /// DRAM bytes per wall cycle available to the pool (the GBUs' share
@@ -92,7 +110,6 @@ impl DevicePool {
         assert!(dram_share > 0.0 && dram_share <= 1.0, "dram_share in (0, 1]");
         let bytes_per_cycle = gpu.dram_bytes_per_s() * dram_share / (gbu.clock_ghz * 1e9);
         Self {
-            devices: (0..devices).map(|_| Gbu::new(gbu.clone())).collect(),
             active: (0..devices).map(|_| None).collect(),
             clock: 0,
             bytes_per_cycle,
@@ -134,12 +151,12 @@ impl DevicePool {
 
     /// Number of devices.
     pub fn len(&self) -> usize {
-        self.devices.len()
+        self.active.len()
     }
 
     /// `true` when the pool has no devices (never; pools are non-empty).
     pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
+        self.active.is_empty()
     }
 
     /// Current wall cycle.
@@ -163,117 +180,47 @@ impl DevicePool {
         if self.clock == 0 {
             return 0.0;
         }
-        self.busy_device_cycles as f64 / (self.clock as f64 * self.devices.len() as f64)
+        self.busy_device_cycles as f64 / (self.clock as f64 * self.len() as f64)
     }
 
-    /// Submits `view` to device `device` (must be idle) on behalf of
-    /// `ticket`.
+    /// Starts `job` on device `device` (must be idle), taking its run
+    /// from `memo`. The frame occupies the device for
+    /// `job.prep_cycles` device-cycles of host preprocessing, then for
+    /// the run's occupancy; its feature traffic streams over that whole
+    /// window (the host writes the frame's artifacts while it holds the
+    /// slot).
     ///
     /// # Panics
     ///
-    /// Panics if the device still has a frame in flight — the engine only
-    /// dispatches to [`DevicePool::idle_device`] slots.
-    pub fn submit(&mut self, device: usize, view: &PreparedView, ticket: FrameTicket) {
-        self.submit_with_prep(device, view, ticket, 0);
-    }
-
-    /// [`DevicePool::submit`] plus an up-front host-preprocessing charge:
-    /// the frame occupies `device` for `prep_cycles` additional
-    /// device-cycles (the host GPU's Step-❶/❷ time, converted to device
-    /// cycles by the engine) before GBU progress starts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device still has a frame in flight.
-    pub fn submit_with_prep(
-        &mut self,
-        device: usize,
-        view: &PreparedView,
-        ticket: FrameTicket,
-        prep_cycles: u64,
-    ) {
-        self.devices[device]
-            .render_image(&view.splats, &view.bins, &view.camera, Vec3::ZERO)
-            .expect("engine dispatches only to idle devices");
-        self.track(device, ticket, prep_cycles);
-    }
-
-    /// Submits one *shard* of a frame to device `device` (must be idle):
-    /// `bins` is a tile-range restriction of the frame's bins, executed
-    /// through the device's scoped entry point
-    /// ([`gbu_core::Gbu::render_scoped`]) so the shard charges only its
-    /// tile range's D&B work and DRAM feature traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device still has a frame in flight.
-    pub fn submit_scoped(
-        &mut self,
-        device: usize,
-        splats: &[Splat2D],
-        bins: &TileBins,
-        camera: &Camera,
-        ticket: FrameTicket,
-    ) {
-        self.submit_scoped_with_prep(device, splats, bins, camera, ticket, 0);
-    }
-
-    /// [`DevicePool::submit_scoped`] plus an up-front host-preprocessing
-    /// charge, mirroring [`DevicePool::submit_with_prep`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device still has a frame in flight.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_scoped_with_prep(
-        &mut self,
-        device: usize,
-        splats: &[Splat2D],
-        bins: &TileBins,
-        camera: &Camera,
-        ticket: FrameTicket,
-        prep_cycles: u64,
-    ) {
-        self.devices[device]
-            .render_scoped(splats, bins, camera, Vec3::ZERO)
-            .expect("cluster dispatches only to idle devices");
-        self.track(device, ticket, prep_cycles);
-    }
-
-    /// Registers the just-submitted frame on `device` as active, with its
-    /// feature traffic streamed over its whole duration (prep included:
-    /// the host writes the frame's artifacts over the same window it
-    /// occupies the slot).
-    fn track(&mut self, device: usize, ticket: FrameTicket, prep: u64) {
-        let gbu = &self.devices[device];
-        let duration = gbu.in_flight_remaining().expect("frame was just submitted");
-        let bytes = gbu.in_flight_dram_bytes().expect("frame was just submitted");
-        let demand = bytes as f64 / (duration + prep).max(1) as f64;
-        self.active[device] =
-            Some(ActiveFrame { ticket, demand, residue: 0.0, started: self.clock, prep });
+    /// Panics if the device still has a frame in flight — callers only
+    /// dispatch to [`DevicePool::idle_device`] slots.
+    pub fn submit(&mut self, device: usize, job: DeviceJob<'_>, memo: &mut DeviceMemo) {
+        assert!(self.active[device].is_none(), "submit requires an idle device");
+        let run = memo.run(job.view, job.scope).clone();
+        let prep = job.prep_cycles;
+        let demand = run.dram_bytes as f64 / (run.occupancy + prep).max(1) as f64;
+        self.active[device] = Some(ActiveFrame {
+            ticket: job.ticket,
+            remaining: run.occupancy,
+            run,
+            demand,
+            residue: 0.0,
+            started: self.clock,
+            prep,
+        });
     }
 
     /// Device-cycles of work still executing on each device (zero for
-    /// idle ones) — the per-device backlog the in-flight-aware admission
-    /// estimate seeds its earliest-free schedule with. Optimistic
-    /// (device cycles, not contention-stretched wall cycles), so a
-    /// rejection remains a proof of unmeetability.
-    pub fn in_flight_backlog_per_device(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.in_flight_backlog_into(&mut out);
-        out
-    }
-
-    /// Allocation-free variant of
-    /// [`DevicePool::in_flight_backlog_per_device`]: clears `out` and
-    /// fills it in device order, reusing its capacity across admission
-    /// probes.
+    /// idle ones), written into `out` (cleared first) in device order —
+    /// the per-device backlog the in-flight-aware admission estimate
+    /// seeds its earliest-free schedule with. Optimistic (device cycles,
+    /// not contention-stretched wall cycles), so a rejection remains a
+    /// proof of unmeetability.
     pub fn in_flight_backlog_into(&self, out: &mut Vec<u64>) {
         out.clear();
-        out.extend(self.devices.iter().zip(&self.active).map(|(gbu, slot)| match slot {
-            Some(a) => a.prep + gbu.in_flight_remaining().unwrap_or(0),
-            None => 0,
-        }));
+        out.extend(
+            self.active.iter().map(|slot| slot.as_ref().map_or(0, |a| a.prep + a.remaining)),
+        );
     }
 
     /// The ticket currently rendering on `device`, if any.
@@ -287,21 +234,17 @@ impl DevicePool {
     /// measured-service feedback behind
     /// `gbu_render::shard::ShardStrategy::Measured`.
     pub fn in_flight_occupancy(&self, device: usize) -> Option<u64> {
-        self.active[device].as_ref()?;
-        self.devices[device].in_flight_occupancy()
+        self.active[device].as_ref().map(|a| a.run.occupancy)
     }
 
-    /// Cancels the frame in flight on `device` through the device's
-    /// `cancel_in_flight` hook, freeing the slot immediately. Returns the
+    /// Cancels the frame in flight on `device` (the device's
+    /// `cancel_in_flight` hook), freeing the slot immediately. Returns the
     /// cancelled ticket, or `None` when the device was idle (no-op-safe).
     ///
     /// Device cycles already spent on the cancelled frame stay counted as
     /// busy time — cancellation reclaims the future, not the past.
     pub fn cancel(&mut self, device: usize) -> Option<FrameTicket> {
-        let a = self.active[device].take()?;
-        let was_in_flight = self.devices[device].cancel_in_flight();
-        debug_assert!(was_in_flight, "active slot implies an in-flight frame");
-        Some(a.ticket)
+        self.active[device].take().map(|a| a.ticket)
     }
 
     /// Progress rate (device-cycles per wall-cycle) of every busy device
@@ -322,66 +265,33 @@ impl DevicePool {
         let rate = self.rate();
         self.active
             .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                let a = slot.as_ref()?;
-                let remaining =
-                    (a.prep + self.devices[i].in_flight_remaining()?) as f64 - a.residue;
-                Some((remaining / rate).ceil().max(1.0) as u64)
+            .flatten()
+            .map(|a| {
+                let remaining = (a.prep + a.remaining) as f64 - a.residue;
+                (remaining / rate).ceil().max(1.0) as u64
             })
             .min()
     }
 
     /// Advances the wall clock by `wall_dt` cycles, progressing every busy
     /// device at the shared contention rate, and collects any frames that
-    /// complete. The wall clock is strictly monotone: `wall_dt == 0` is
-    /// rejected.
-    ///
-    /// Between two arbitration points the contention rate is constant and
-    /// the devices are independent, so the busy devices advance
-    /// concurrently on the global `gbu_par` pool; their completions are
-    /// merged back in device order, keeping the simulated-cycle results
-    /// identical to a serial sweep at any thread count (the regenerated
-    /// `BENCH_serve.json` pins this).
+    /// complete, in device order. The wall clock is strictly monotone:
+    /// `wall_dt == 0` is rejected.
     pub fn advance(&mut self, wall_dt: u64) -> Vec<PoolCompletion> {
         assert!(wall_dt > 0, "the simulated clock must move forward");
         let rate = self.rate();
         self.clock += wall_dt;
         let clock = self.clock;
 
-        struct AdvanceJob<'a> {
-            device: usize,
-            gbu: &'a mut Gbu,
-            slot: &'a mut Option<ActiveFrame>,
-            busy: u64,
-            started: u64,
-            completion: Option<PoolCompletion>,
-        }
-        let mut jobs: Vec<AdvanceJob> = self
-            .devices
-            .iter_mut()
-            .zip(self.active.iter_mut())
-            .enumerate()
-            .filter(|(_, (_, slot))| slot.is_some())
-            .map(|(i, (gbu, slot))| AdvanceJob {
-                device: i,
-                gbu,
-                slot,
-                busy: 0,
-                started: 0,
-                completion: None,
-            })
-            .collect();
-
-        gbu_par::global().for_each_mut(&mut jobs, |_, job| {
-            let a = job.slot.as_mut().expect("jobs hold busy devices only");
-            job.started = a.started;
+        let mut done = Vec::new();
+        let mut total_busy = 0u64;
+        for (device, slot) in self.active.iter_mut().enumerate() {
+            let Some(a) = slot.as_mut() else { continue };
             // Busy credit stops when the frame finishes, even if the
             // caller overshoots the completion event.
-            let remaining =
-                (a.prep + job.gbu.in_flight_remaining().unwrap_or(0)) as f64 - a.residue;
+            let remaining = (a.prep + a.remaining) as f64 - a.residue;
             let needed_wall = (remaining / rate).ceil().max(0.0) as u64;
-            job.busy = wall_dt.min(needed_wall);
+            total_busy += wall_dt.min(needed_wall);
             let progress = wall_dt as f64 * rate + a.residue;
             let whole = progress.floor();
             a.residue = progress - whole;
@@ -389,42 +299,32 @@ impl DevicePool {
             // the GBU.
             let prep_burn = (whole as u64).min(a.prep);
             a.prep -= prep_burn;
-            job.gbu.advance(whole as u64 - prep_burn);
-            if let Some(frame) = job.gbu.try_collect() {
-                let ticket = a.ticket;
-                *job.slot = None;
-                job.completion =
-                    Some(PoolCompletion { ticket, device: job.device, completed_at: clock, frame });
+            a.remaining = a.remaining.saturating_sub(whole as u64 - prep_burn);
+            if a.remaining > 0 {
+                continue;
             }
-        });
-
-        let mut done = Vec::new();
-        let mut total_busy = 0u64;
-        for job in jobs {
-            self.busy_device_cycles += job.busy;
-            total_busy += job.busy;
-            if let Some(c) = job.completion {
-                if self.recorder.is_enabled() {
-                    let labels = gbu_telemetry::Labels {
-                        lane: self.lane,
-                        lane_generation: self.lane.map(|_| self.lane_generation),
-                        device: Some(c.device as u32),
-                        session: Some(c.ticket.session.index() as u32),
-                        frame: Some(c.ticket.id.index()),
-                        ..gbu_telemetry::Labels::default()
-                    };
-                    self.recorder.span(
-                        "device_busy",
-                        gbu_telemetry::Domain::Cycles,
-                        job.started,
-                        c.completed_at,
-                        None,
-                        labels,
-                    );
-                }
-                done.push(c);
+            let a = slot.take().expect("slot checked busy above");
+            if self.recorder.is_enabled() {
+                let labels = gbu_telemetry::Labels {
+                    lane: self.lane,
+                    lane_generation: self.lane.map(|_| self.lane_generation),
+                    device: Some(device as u32),
+                    session: Some(a.ticket.session.index() as u32),
+                    frame: Some(a.ticket.id.index()),
+                    ..gbu_telemetry::Labels::default()
+                };
+                self.recorder.span(
+                    "device_busy",
+                    gbu_telemetry::Domain::Cycles,
+                    a.started,
+                    clock,
+                    None,
+                    labels,
+                );
             }
+            done.push(PoolCompletion { ticket: a.ticket, device, completed_at: clock, run: a.run });
         }
+        self.busy_device_cycles += total_busy;
         // Fair-share arbitration below rate 1 means every busy wall
         // cycle progressed the device by only `rate` device-cycles.
         if rate < 1.0 {
@@ -456,6 +356,20 @@ mod tests {
         )
     }
 
+    fn memo() -> DeviceMemo {
+        DeviceMemo::new(&GbuConfig::paper(), false, &gbu_telemetry::Recorder::disabled())
+    }
+
+    /// Frame `view` of `session`, unscoped, with a `prep` charge.
+    fn job(session: &Session, view: u32, ticket: FrameTicket, prep: u64) -> DeviceJob<'_> {
+        DeviceJob {
+            view: session.view_handle(view),
+            scope: RunScope::Frame,
+            ticket,
+            prep_cycles: prep,
+        }
+    }
+
     fn ticket(n: u32) -> FrameTicket {
         FrameTicket {
             id: crate::FrameId::from_index(u64::from(n)),
@@ -469,8 +383,9 @@ mod tests {
     #[test]
     fn single_frame_completes_at_base_duration() {
         let session = prepared();
+        let mut memo = memo();
         let mut pool = DevicePool::new(1, &GbuConfig::paper(), &GpuConfig::orin_nx(), 0.5);
-        pool.submit(0, session.view(0), ticket(0));
+        pool.submit(0, job(&session, 0, ticket(0), 0), &mut memo);
         let dt = pool.next_completion_dt().expect("one frame in flight");
         let done = pool.advance(dt);
         assert_eq!(done.len(), 1);
@@ -481,9 +396,10 @@ mod tests {
     #[test]
     fn clock_is_monotone_and_utilization_bounded() {
         let session = prepared();
+        let mut memo = memo();
         let mut pool = DevicePool::new(2, &GbuConfig::paper(), &GpuConfig::orin_nx(), 0.5);
-        pool.submit(0, session.view(0), ticket(0));
-        pool.submit(1, session.view(1), ticket(1));
+        pool.submit(0, job(&session, 0, ticket(0), 0), &mut memo);
+        pool.submit(1, job(&session, 1, ticket(1), 0), &mut memo);
         let mut last = pool.clock();
         let mut completions = 0;
         while pool.busy_count() > 0 {
@@ -500,8 +416,9 @@ mod tests {
     #[test]
     fn prep_cycles_extend_completion_exactly() {
         let session = prepared();
+        let mut memo = memo();
         let mut plain = DevicePool::new(1, &GbuConfig::paper(), &GpuConfig::orin_nx(), 0.5);
-        plain.submit(0, session.view(0), ticket(0));
+        plain.submit(0, job(&session, 0, ticket(0), 0), &mut memo);
         let base_dt = plain.next_completion_dt().expect("one frame in flight");
 
         // The same frame with an up-front host-preprocessing charge
@@ -509,7 +426,7 @@ mod tests {
         // one wall cycle burns one device cycle).
         let prep = 12_345u64;
         let mut charged = DevicePool::new(1, &GbuConfig::paper(), &GpuConfig::orin_nx(), 0.5);
-        charged.submit_with_prep(0, session.view(0), ticket(0), prep);
+        charged.submit(0, job(&session, 0, ticket(0), prep), &mut memo);
         let charged_dt = charged.next_completion_dt().expect("one frame in flight");
         assert_eq!(charged_dt, base_dt + prep);
 
@@ -524,25 +441,31 @@ mod tests {
 
     #[test]
     fn zero_prep_is_the_plain_submit_path() {
+        // Without a charge the frame holds an uncontended device for
+        // exactly the occupancy a direct `GBU_render_image` schedules.
         let session = prepared();
-        let mut a = DevicePool::new(1, &GbuConfig::paper(), &GpuConfig::orin_nx(), 0.5);
-        a.submit(0, session.view(0), ticket(0));
-        let mut b = DevicePool::new(1, &GbuConfig::paper(), &GpuConfig::orin_nx(), 0.5);
-        b.submit_with_prep(0, session.view(0), ticket(0), 0);
-        assert_eq!(a.next_completion_dt(), b.next_completion_dt());
+        let view = session.view(0);
+        let mut gbu = gbu_core::Gbu::new(GbuConfig::paper());
+        gbu.render_image(&view.splats, &view.bins, &view.camera, gbu_math::Vec3::ZERO).unwrap();
+        let mut memo = memo();
+        let mut pool = DevicePool::new(1, &GbuConfig::paper(), &GpuConfig::orin_nx(), 0.5);
+        pool.submit(0, job(&session, 0, ticket(0), 0), &mut memo);
+        assert_eq!(pool.next_completion_dt(), gbu.in_flight_remaining());
+        assert_eq!(pool.in_flight_occupancy(0), gbu.in_flight_occupancy());
     }
 
     #[test]
     fn starved_bandwidth_slows_completion() {
         let session = prepared();
+        let mut memo = memo();
         // A pool whose DRAM share is tiny: the same frame must take
         // longer in wall cycles than on an uncontended pool.
         let mut fat = DevicePool::new(1, &GbuConfig::paper(), &GpuConfig::orin_nx(), 0.5);
-        fat.submit(0, session.view(0), ticket(0));
+        fat.submit(0, job(&session, 0, ticket(0), 0), &mut memo);
         let fat_dt = fat.next_completion_dt().unwrap();
 
         let mut starved = DevicePool::new(1, &GbuConfig::paper(), &GpuConfig::orin_nx(), 1e-6);
-        starved.submit(0, session.view(0), ticket(0));
+        starved.submit(0, job(&session, 0, ticket(0), 0), &mut memo);
         let starved_dt = starved.next_completion_dt().unwrap();
         assert!(
             starved_dt > fat_dt,
@@ -553,16 +476,17 @@ mod tests {
     #[test]
     fn contention_couples_devices() {
         let session = prepared();
+        let mut memo = memo();
         // Low-bandwidth pool: two concurrent frames must each take longer
         // than the same frame alone.
         let share = 1e-4;
         let mut solo = DevicePool::new(2, &GbuConfig::paper(), &GpuConfig::orin_nx(), share);
-        solo.submit(0, session.view(0), ticket(0));
+        solo.submit(0, job(&session, 0, ticket(0), 0), &mut memo);
         let solo_dt = solo.next_completion_dt().unwrap();
 
         let mut pair = DevicePool::new(2, &GbuConfig::paper(), &GpuConfig::orin_nx(), share);
-        pair.submit(0, session.view(0), ticket(0));
-        pair.submit(1, session.view(0), ticket(1));
+        pair.submit(0, job(&session, 0, ticket(0), 0), &mut memo);
+        pair.submit(1, job(&session, 0, ticket(1), 0), &mut memo);
         let pair_dt = pair.next_completion_dt().unwrap();
         assert!(
             pair_dt > solo_dt,
@@ -573,8 +497,9 @@ mod tests {
     #[test]
     fn overshoot_does_not_inflate_utilization() {
         let session = prepared();
+        let mut memo = memo();
         let mut pool = DevicePool::new(1, &GbuConfig::paper(), &GpuConfig::orin_nx(), 0.5);
-        pool.submit(0, session.view(0), ticket(0));
+        pool.submit(0, job(&session, 0, ticket(0), 0), &mut memo);
         let needed = pool.next_completion_dt().unwrap();
         // Step 100x past the completion event: the device was busy for
         // only ~1% of the interval and utilization must say so.
@@ -587,10 +512,11 @@ mod tests {
     #[test]
     fn cancel_frees_the_device_and_returns_the_ticket() {
         let session = prepared();
+        let mut memo = memo();
         let mut pool = DevicePool::new(1, &GbuConfig::paper(), &GpuConfig::orin_nx(), 0.5);
         // Idle device: no-op.
         assert!(pool.cancel(0).is_none());
-        pool.submit(0, session.view(0), ticket(7));
+        pool.submit(0, job(&session, 0, ticket(7), 0), &mut memo);
         assert_eq!(pool.active_ticket(0).unwrap().frame, 7);
         let dt = pool.next_completion_dt().unwrap();
         // Render half the frame, then cancel it.
@@ -603,7 +529,7 @@ mod tests {
         // The spent cycles still count as busy time.
         assert!(pool.utilization() > 0.0);
         // The freed device accepts new work.
-        pool.submit(0, session.view(1), ticket(8));
+        pool.submit(0, job(&session, 1, ticket(8), 0), &mut memo);
         let done = pool.advance(pool.next_completion_dt().unwrap());
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].ticket.frame, 8);

@@ -232,17 +232,13 @@ pub(crate) fn prepare_view(scene: &GaussianScene, camera: Camera) -> PreparedVie
     PreparedView { splats: projected.splats, bins: binned.bins, camera, prep }
 }
 
-/// Measures one view's device occupancy on a scratch device: the frame
-/// occupies the device for max(D&B, Tile PE) cycles — what
-/// `render_image` scheduled, not just the tile-engine share.
+/// Measures one view's device occupancy: the frame occupies a device for
+/// max(D&B, Tile PE) cycles — what `render_image` schedules, not just
+/// the tile-engine share.
 pub(crate) fn probe_view_cycles(view: &PreparedView, gbu: &GbuConfig) -> u64 {
-    let mut probe = gbu_core::Gbu::new(gbu.clone());
-    probe
-        .render_image(&view.splats, &view.bins, &view.camera, Vec3::ZERO)
-        .expect("probe device is idle");
-    let occupancy = probe.in_flight_remaining().expect("frame in flight");
-    probe.wait().expect("frame in flight");
-    occupancy
+    gbu_core::Gbu::new(gbu.clone())
+        .run(&view.splats, &view.bins, &view.camera, Vec3::ZERO)
+        .occupancy
 }
 
 fn orbit_views(
@@ -297,6 +293,11 @@ impl Session {
     /// (frames over the same `Arc` share one Step-❶/❷ charge per epoch).
     pub fn view_handle(&self, index: u32) -> &Arc<PreparedView> {
         &self.views[index as usize % self.views.len()]
+    }
+
+    /// Every prepared viewpoint of the session.
+    pub(crate) fn view_handles(&self) -> &[Arc<PreparedView>] {
+        &self.views
     }
 
     /// Mean device-occupancy cycles over this session's viewpoints.

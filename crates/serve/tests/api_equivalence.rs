@@ -13,15 +13,22 @@
 //!    aggregate;
 //! 3. **Event-stream / report consistency** — the typed `ServeEvent`
 //!    stream, the `poll` futures and the final `ServeReport` agree on
-//!    every count.
+//!    every count;
+//! 4. **Image retention is invisible** — serving with
+//!    `retain_images` on replays the identical event stream and report,
+//!    and every retained image is bit-identical to a direct device render
+//!    of the frame's (view, quality rung).
 
 use gbu_hw::GbuConfig;
+use gbu_render::{contrib, FrameBuffer};
 use gbu_serve::{
     calibrated_clock_ghz, run_sessions, AdmissionControl, AutoscaleConfig, BackendKind, ExecMode,
-    FleetAction, FleetConfig, FleetEvent, FleetPlan, FrameStatus, MigrationConfig, Policy,
-    QosTarget, ServeConfig, ServeEngine, ServeEvent, Session, SessionContent, SessionSpec,
+    FleetAction, FleetConfig, FleetEvent, FleetPlan, FrameId, FrameStatus, MigrationConfig, Policy,
+    QosTarget, QualityGovernor, ServeConfig, ServeEngine, ServeEvent, Session, SessionContent,
+    SessionSpec,
 };
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn workload(n_sessions: usize, frames: u32, seed: u64) -> Vec<Session> {
     (0..n_sessions)
@@ -296,6 +303,15 @@ enum Intervention {
     Attach,
 }
 
+/// One churny run: the event stream, the report, every session in id
+/// order (late attaches included) and the images the engine retained.
+struct Churned {
+    events: Vec<ServeEvent>,
+    report: gbu_serve::ServeReport,
+    sessions: Vec<Session>,
+    images: Vec<(FrameId, FrameBuffer)>,
+}
+
 /// Drives `cfg` over `sessions` with `interventions` applied at their
 /// scheduled cycles, stepping additionally at `extra_slices` boundaries,
 /// then drains and seals. Both the intervention schedule and the fleet
@@ -306,7 +322,8 @@ fn run_churny(
     sessions: &[Session],
     interventions: &[(u64, Intervention)],
     extra_slices: &[u64],
-) -> (Vec<ServeEvent>, gbu_serve::ServeReport) {
+) -> Churned {
+    let mut all = sessions.to_vec();
     let mut engine = ServeEngine::new(cfg);
     let mut ids: Vec<_> = sessions.iter().map(|s| engine.attach_session(s.clone())).collect();
     let mut boundaries: Vec<(u64, Option<Intervention>)> =
@@ -336,7 +353,9 @@ fn run_churny(
                     exec: ExecMode::Unsharded,
                 };
                 fresh += 1;
-                ids.push(engine.attach_session(Session::prepare(spec, &GbuConfig::paper())));
+                let session = Session::prepare(spec, &GbuConfig::paper());
+                all.push(session.clone());
+                ids.push(engine.attach_session(session));
             }
             None => {}
         }
@@ -344,12 +363,74 @@ fn run_churny(
     events.extend(engine.drain());
     events.extend(engine.finish());
     assert!(engine.is_drained());
-    (events, engine.report())
+    let images = events
+        .iter()
+        .filter_map(|e| match e {
+            ServeEvent::Completed { frame, .. } => {
+                engine.take_image(*frame).map(|image| (*frame, image))
+            }
+            _ => None,
+        })
+        .collect();
+    Churned { events, report: engine.report(), sessions: all, images }
+}
+
+/// Checks every retained image against a direct device render of the
+/// frame's view at the quality rung of its last dispatch. Frames are
+/// timer-generated only, so a session's k-th frame id renders its
+/// viewpoint k; a frame's rung is the level of the `Degraded` event
+/// since its last (re)queueing, exact without one.
+fn assert_images_match_direct_renders(churned: &Churned, cfg: &ServeConfig) {
+    let mut index_of = HashMap::new();
+    let mut next_index = HashMap::new();
+    let mut rung_of = HashMap::new();
+    for e in &churned.events {
+        let (Some(frame), Some(session)) = (e.frame(), e.session()) else { continue };
+        index_of.entry(frame).or_insert_with(|| {
+            let k = next_index.entry(session).or_insert(0u32);
+            *k += 1;
+            (session.index(), *k - 1)
+        });
+        match e {
+            ServeEvent::Degraded { level, .. } => {
+                rung_of.insert(frame, *level);
+            }
+            ServeEvent::Requeued { .. } => {
+                rung_of.remove(&frame);
+            }
+            _ => {}
+        }
+    }
+    let mut direct: HashMap<(usize, u32, usize), FrameBuffer> = HashMap::new();
+    for (frame, image) in &churned.images {
+        let (session, index) = index_of[frame];
+        let rung = rung_of.get(frame).copied().unwrap_or(0);
+        let reference = direct.entry((session, index, rung)).or_insert_with(|| {
+            let view = churned.sessions[session].view(index);
+            let (splats, bins) = match rung {
+                0 => (view.splats.clone(), view.bins.clone()),
+                r => {
+                    let scores = contrib::contribution_scores(&view.splats, None, &view.camera);
+                    let keep = contrib::select(&scores, cfg.quality.ladder[r - 1])
+                        .expect("ladder rungs are degraded levels");
+                    contrib::compact(&view.splats, &view.bins, &keep)
+                }
+            };
+            let mut gbu = gbu_core::Gbu::new(cfg.gbu.clone());
+            gbu.render_image(&splats, &bins, &view.camera, gbu_math::Vec3::ZERO)
+                .expect("a fresh device is idle");
+            gbu.wait().expect("a frame is in flight").image
+        });
+        assert_eq!(
+            image, reference,
+            "frame {frame:?} (session {session}, view {index}, rung {rung})"
+        );
+    }
 }
 
 /// Checks one frame's event subsequence against the lifecycle grammar:
 /// `Rejected` alone, or `Admitted` followed by any number of
-/// `Started → ShardCompleted* → Requeued` cycles and a queue-side
+/// `Degraded* → Started → ShardCompleted* → Requeued` cycles and a queue-side
 /// `Dropped`/dispatch, ending in exactly one terminal
 /// (`Completed`/`Dropped`).
 fn assert_frame_grammar(events: &[&ServeEvent]) {
@@ -365,6 +446,9 @@ fn assert_frame_grammar(events: &[&ServeEvent]) {
         state = match (state, e) {
             (S::Fresh, ServeEvent::Rejected { .. }) => S::Terminal,
             (S::Fresh, ServeEvent::Admitted { .. }) => S::Queued,
+            // A degradation decision (at admission or dispatch) is
+            // non-terminal and leaves the frame queued.
+            (S::Queued, ServeEvent::Degraded { .. }) => S::Queued,
             (S::Queued, ServeEvent::Started { .. }) => S::Running,
             (S::Queued, ServeEvent::Dropped { .. }) => S::Terminal,
             (S::Running, ServeEvent::ShardCompleted { .. }) => S::Running,
@@ -398,6 +482,7 @@ proptest! {
         rebalance in any::<bool>(),
         autoscale in any::<bool>(),
         lane_reservation in any::<bool>(),
+        governed in any::<bool>(),
         slices in prop::collection::vec(1u64..60_000, 1..24),
     ) {
         let sessions = mixed_workload(n_sessions, frames, seed, lanes);
@@ -426,6 +511,19 @@ proptest! {
             migration: migration.then_some(MigrationConfig { rebalance }),
             lane_reservation,
         };
+        if governed {
+            // Counter-offers replace unmeetable-frame rejections, so the
+            // admission check producing them is on too.
+            cfg.admission.reject_unmeetable = true;
+            cfg.quality = QualityGovernor {
+                ladder: QualityGovernor::default_ladder(),
+                counter_offer: true,
+                shed_on_pressure: true,
+                interval: 40_000,
+                cooldown_ticks: 1,
+                ..QualityGovernor::default()
+            };
+        }
         let interventions: Vec<(u64, Intervention)> = interventions_raw
             .iter()
             .map(|&(at, k)| {
@@ -438,10 +536,21 @@ proptest! {
             })
             .collect();
 
-        let (coarse_events, coarse) = run_churny(cfg.clone(), &sessions, &interventions, &[]);
-        let (fine_events, fine) = run_churny(cfg, &sessions, &interventions, &slices);
-        prop_assert_eq!(&fine_events, &coarse_events, "event streams diverged under slicing");
-        prop_assert_eq!(&fine, &coarse, "reports diverged under slicing");
+        let coarse_run = run_churny(cfg.clone(), &sessions, &interventions, &[]);
+        let fine_run = run_churny(cfg.clone(), &sessions, &interventions, &slices);
+        let (coarse_events, coarse) = (&coarse_run.events, &coarse_run.report);
+        prop_assert_eq!(&fine_run.events, coarse_events, "event streams diverged under slicing");
+        prop_assert_eq!(&fine_run.report, coarse, "reports diverged under slicing");
+        prop_assert!(coarse_run.images.is_empty(), "no images without retention");
+
+        // Retaining images changes nothing the stream or report shows,
+        // and every retained image is the direct render of its frame.
+        let retain_cfg = ServeConfig { retain_images: true, ..cfg };
+        let retained = run_churny(retain_cfg.clone(), &sessions, &interventions, &slices);
+        prop_assert_eq!(&retained.events, coarse_events, "retention changed the event stream");
+        prop_assert_eq!(&retained.report, coarse, "retention changed the report");
+        prop_assert_eq!(retained.images.len(), coarse.completed);
+        assert_images_match_direct_renders(&retained, &retain_cfg);
 
         // Conservation with requeues explicitly non-terminal.
         prop_assert_eq!(

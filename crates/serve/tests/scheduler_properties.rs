@@ -10,10 +10,11 @@
 
 use gbu_hw::GbuConfig;
 use gbu_serve::{
-    calibrated_clock_ghz, run_sessions, AdmissionControl, DevicePool, Edf, ExecMode, FrameId,
-    FrameTicket, Policy, QosTarget, Scheduler, ServeConfig, Session, SessionContent, SessionId,
-    SessionSpec,
+    calibrated_clock_ghz, run_sessions, AdmissionControl, DeviceJob, DeviceMemo, DevicePool, Edf,
+    ExecMode, FrameId, FrameTicket, Policy, QosTarget, RunScope, Scheduler, ServeConfig, Session,
+    SessionContent, SessionId, SessionSpec,
 };
+use gbu_telemetry::Recorder;
 use proptest::prelude::*;
 
 fn workload(n_sessions: usize, frames: u32, seed: u64) -> Vec<Session> {
@@ -114,6 +115,7 @@ proptest! {
             &gbu_gpu::GpuConfig::orin_nx(),
             0.5,
         );
+        let mut memo = DeviceMemo::new(&GbuConfig::paper(), false, &Recorder::disabled());
         let mut frame = 0u32;
         let mut last_clock = pool.clock();
         for &(action, dt) in &steps {
@@ -126,7 +128,13 @@ proptest! {
                         arrival: pool.clock(),
                         deadline: u64::MAX,
                     };
-                    pool.submit(idle, session.view(frame), ticket);
+                    let job = DeviceJob {
+                        view: session.view_handle(frame),
+                        scope: RunScope::Frame,
+                        ticket,
+                        prep_cycles: 0,
+                    };
+                    pool.submit(idle, job, &mut memo);
                     frame += 1;
                     // Submission must not move the clock.
                     prop_assert_eq!(pool.clock(), last_clock);

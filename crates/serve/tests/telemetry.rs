@@ -224,3 +224,37 @@ proptest! {
         }
     }
 }
+
+/// The device-run memo computes each distinct (view, shard rows) run
+/// once: N frames over one view record one miss per distinct run and a
+/// hit for every other device run.
+#[test]
+fn device_memo_counts_one_miss_per_distinct_run() {
+    use gbu_render::shard::ShardStrategy;
+    const FRAMES: u64 = 6;
+    let lanes = 2;
+    for exec in [
+        ExecMode::Unsharded,
+        ExecMode::Sharded { shards: lanes, strategy: ShardStrategy::CostBalanced },
+    ] {
+        let mut session = workload(1, 0, 5).remove(0);
+        session.spec.exec = exec;
+        let recorder = Recorder::enabled(Verbosity::Normal);
+        let mut cfg = cluster_config(lanes, 64, false);
+        cfg.telemetry = recorder.clone();
+        let mut engine = ServeEngine::new(cfg);
+        let sid = engine.attach_session(session);
+        for _ in 0..FRAMES {
+            // Always viewpoint 0; a CostBalanced plan of one view is fixed.
+            engine.handle().submit_frame(sid, 0);
+            engine.drain();
+        }
+        assert_eq!(engine.report().completed as u64, FRAMES);
+        let trace = recorder.snapshot();
+        let runs = FRAMES * exec.lanes_needed() as u64;
+        let misses = trace.counter("serve.device_memo.misses").unwrap_or(0);
+        let hits = trace.counter("serve.device_memo.hits").unwrap_or(0);
+        assert_eq!(misses, exec.lanes_needed() as u64, "{exec:?}: one miss per distinct run");
+        assert_eq!(hits, runs - misses, "{exec:?}: every other run hits");
+    }
+}
