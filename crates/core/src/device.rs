@@ -48,7 +48,8 @@ impl std::error::Error for DeviceError {}
 pub struct CompletedFrame {
     /// The rendered image.
     pub image: FrameBuffer,
-    /// Hardware counters of the run.
+    /// Hardware counters of the run. Its image has moved to
+    /// [`CompletedFrame::image`]; `run.image` is left empty.
     pub run: GbuRunResult,
 }
 
@@ -56,14 +57,16 @@ pub struct CompletedFrame {
 /// [`Gbu::run`] / [`Gbu::run_scoped`]: a pure function of the inputs,
 /// the hardware configuration and the cache policy, so a host may
 /// compute it once and start it on any number of devices
-/// ([`Gbu::start`]).
+/// ([`Gbu::start`]). `DeviceRun<()>` is a pixel-free run
+/// ([`Gbu::run_counters`] / [`Gbu::run_scoped_counters`]): the same
+/// occupancy and counters, no image.
 #[derive(Debug, Clone)]
-pub struct DeviceRun {
+pub struct DeviceRun<I = FrameBuffer> {
     /// Full device occupancy of the frame: `max(D&B, Tile PE)` cycles
     /// (the chunk-level pipeline of Fig. 13 overlaps the two).
     pub occupancy: u64,
     /// The run's image and hardware counters.
-    pub run: GbuRunResult,
+    pub run: GbuRunResult<I>,
 }
 
 #[derive(Debug)]
@@ -186,7 +189,9 @@ impl Gbu {
         camera: &Camera,
         background: Vec3,
     ) -> DeviceRun {
-        self.compute(splats, bins, camera, background, false)
+        self.compute(splats, bins, false, |d| {
+            self.engine.render(splats, d, bins, camera, background, self.policy)
+        })
     }
 
     /// The pure half of [`Gbu::render_scoped`].
@@ -197,7 +202,34 @@ impl Gbu {
         camera: &Camera,
         background: Vec3,
     ) -> DeviceRun {
-        self.compute(splats, bins, camera, background, true)
+        self.compute(splats, bins, true, |d| {
+            self.engine.render(splats, d, bins, camera, background, self.policy)
+        })
+    }
+
+    /// [`Gbu::run`] for a host that discards the image: the same
+    /// occupancy and counters, computed without shading a pixel.
+    pub fn run_counters(
+        &self,
+        splats: &[Splat2D],
+        bins: &TileBins,
+        camera: &Camera,
+    ) -> DeviceRun<()> {
+        self.compute(splats, bins, false, |d| {
+            self.engine.render_counters(splats, d, bins, camera, self.policy)
+        })
+    }
+
+    /// [`Gbu::run_scoped`] for a host that discards the image.
+    pub fn run_scoped_counters(
+        &self,
+        splats: &[Splat2D],
+        bins: &TileBins,
+        camera: &Camera,
+    ) -> DeviceRun<()> {
+        self.compute(splats, bins, true, |d| {
+            self.engine.render_counters(splats, d, bins, camera, self.policy)
+        })
     }
 
     /// Starts an already-computed run: the frame occupies the device for
@@ -208,9 +240,9 @@ impl Gbu {
     /// [`DeviceError::Busy`] when a frame is already in execution.
     pub fn start(&mut self, run: DeviceRun) -> Result<(), DeviceError> {
         self.ensure_idle()?;
-        let DeviceRun { occupancy, run } = run;
+        let DeviceRun { occupancy, mut run } = run;
         self.in_flight = Some(InFlight {
-            result: CompletedFrame { image: run.image.clone(), run },
+            result: CompletedFrame { image: std::mem::take(&mut run.image), run },
             completion_cycle: self.clock + occupancy,
             occupancy,
         });
@@ -224,20 +256,21 @@ impl Gbu {
         }
     }
 
-    fn compute(
+    /// Runs the D&B unit (whole frame, or `scoped` to the tile rows
+    /// `bins` holds), then `tile_pe` over its output.
+    fn compute<I>(
         &self,
         splats: &[Splat2D],
         bins: &TileBins,
-        camera: &Camera,
-        background: Vec3,
         scoped: bool,
-    ) -> DeviceRun {
+        tile_pe: impl FnOnce(&dnb::DnbResult) -> GbuRunResult<I>,
+    ) -> DeviceRun<I> {
         let d = if scoped {
             dnb::run_scoped(splats, bins, &self.engine.config)
         } else {
             dnb::run(splats, bins, &self.engine.config)
         };
-        let run = self.engine.render(splats, &d, bins, camera, background, self.policy);
+        let run = tile_pe(&d);
         // Chunk-level pipeline (Fig. 13 bottom): D&B overlaps the Tile PE,
         // so the frame occupies max(D&B, Tile PE) cycles.
         DeviceRun { occupancy: d.cycles.max(run.compute_cycles), run }
@@ -424,7 +457,7 @@ mod tests {
 
     /// The counters a run is compared by (`GbuRunResult` has no
     /// `PartialEq`; the image is compared separately).
-    fn counters(r: &GbuRunResult) -> [u64; 10] {
+    fn counters<I>(r: &GbuRunResult<I>) -> [u64; 10] {
         [
             r.compute_cycles,
             r.rowgen_cycles,
@@ -470,7 +503,33 @@ mod tests {
             assert_eq!(direct.cycle(), composed.cycle(), "scoped={scoped}");
             assert_eq!(counters(&a.run), counters(&b.run), "scoped={scoped}");
             assert_eq!(a.image, b.image, "scoped={scoped}");
-            assert_eq!(a.run.image, b.run.image, "scoped={scoped}");
+            // `start` moves the image into the frame instead of copying it.
+            assert!(b.run.image.pixels().is_empty(), "scoped={scoped}");
+        }
+    }
+
+    #[test]
+    fn pixel_free_runs_match_image_runs() {
+        let (splats, bins, cam) = inputs();
+        let plan = gbu_render::shard::ShardPlan::new(
+            gbu_render::shard::ShardStrategy::ContiguousRows,
+            &bins,
+            2,
+        );
+        let shard_bins = plan.shard_bins(&bins, 1);
+        for fp16 in [true, false] {
+            let gbu = Gbu::new(GbuConfig { fp16_datapath: fp16, ..GbuConfig::paper() });
+            let frame =
+                (gbu.run(&splats, &bins, &cam, Vec3::ZERO), gbu.run_counters(&splats, &bins, &cam));
+            let shard = (
+                gbu.run_scoped(&splats, &shard_bins, &cam, Vec3::ZERO),
+                gbu.run_scoped_counters(&splats, &shard_bins, &cam),
+            );
+            for (scope, (image, free)) in [("frame", frame), ("shard", shard)] {
+                assert_eq!(free.occupancy, image.occupancy, "{scope} fp16={fp16}");
+                assert_eq!(free.run.cache, image.run.cache, "{scope} fp16={fp16}");
+                assert_eq!(counters(&free.run), counters(&image.run), "{scope} fp16={fp16}");
+            }
         }
     }
 

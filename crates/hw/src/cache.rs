@@ -13,8 +13,6 @@
 //! property tests check that reuse-distance replacement never does worse
 //! than either on the same trace (it is the offline-optimal policy).
 
-use std::collections::HashMap;
-
 /// Replacement policy of the feature cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
@@ -47,18 +45,31 @@ impl CacheStats {
     }
 }
 
+/// Marks a Gaussian with no resident line in [`GaussianReuseCache`]'s
+/// line table.
+const NOT_RESIDENT: u32 = u32::MAX;
+
 /// A set-less (fully associative) feature cache, as the paper's small
 /// capacity and comparator-array replacement imply.
 #[derive(Debug)]
 pub struct GaussianReuseCache {
     policy: Policy,
     capacity: usize,
-    /// line index by Gaussian id.
-    map: HashMap<u32, usize>,
+    /// Line index by Gaussian id ([`NOT_RESIDENT`] when absent), grown
+    /// on demand to the largest id seen.
+    line_of: Vec<u32>,
     /// (gaussian, priority) per line. Priority semantics depend on policy:
     /// next-use position (ReuseDistance), last-use stamp (LRU),
     /// insertion stamp (FIFO).
     lines: Vec<(u32, u64)>,
+    /// The lines as a binary min-heap on `(rank, line)`, so the victim
+    /// is the root: ReuseDistance ranks the farthest next use first,
+    /// LRU/FIFO the oldest stamp, and ties go to the lowest line. This
+    /// is the comparator array's answer (Fig. 12 steps 2-3) without
+    /// scanning every line; a priority change re-sorts one heap path.
+    heap: Vec<u32>,
+    /// Heap slot of every line.
+    slot: Vec<u32>,
     stamp: u64,
     stats: CacheStats,
 }
@@ -72,8 +83,10 @@ impl GaussianReuseCache {
         Self {
             policy,
             capacity,
-            map: HashMap::with_capacity(capacity),
+            line_of: Vec::new(),
             lines: Vec::with_capacity(capacity),
+            heap: Vec::with_capacity(capacity),
+            slot: Vec::with_capacity(capacity),
             stamp: 0,
             stats: CacheStats::default(),
         }
@@ -84,12 +97,69 @@ impl GaussianReuseCache {
         self.stats
     }
 
+    /// A line's place in victim order: smaller keys are evicted first.
+    fn key(&self, line: u32) -> (u64, u32) {
+        let priority = self.lines[line as usize].1;
+        let rank = match self.policy {
+            Policy::ReuseDistance => !priority,
+            Policy::Lru | Policy::Fifo => priority,
+        };
+        (rank, line)
+    }
+
+    /// Restores heap order around slot `i` after its line's key changed.
+    fn resift(&mut self, mut i: usize) {
+        while i > 0 && self.key(self.heap[i]) < self.key(self.heap[(i - 1) / 2]) {
+            self.swap_slots(i, (i - 1) / 2);
+            i = (i - 1) / 2;
+        }
+        loop {
+            let mut least = i;
+            for child in [2 * i + 1, 2 * i + 2] {
+                if child < self.heap.len()
+                    && self.key(self.heap[child]) < self.key(self.heap[least])
+                {
+                    least = child;
+                }
+            }
+            if least == i {
+                return;
+            }
+            self.swap_slots(i, least);
+            i = least;
+        }
+    }
+
+    fn swap_slots(&mut self, a: usize, b: usize) {
+        self.heap.swap(a, b);
+        self.slot[self.heap[a] as usize] = a as u32;
+        self.slot[self.heap[b] as usize] = b as u32;
+    }
+
+    /// Puts `gaussian` with `priority` into `line` (a new line when it
+    /// is `lines.len()`).
+    fn install(&mut self, line: u32, gaussian: u32, priority: u64) {
+        if self.line_of.len() <= gaussian as usize {
+            self.line_of.resize(gaussian as usize + 1, NOT_RESIDENT);
+        }
+        self.line_of[gaussian as usize] = line;
+        if line as usize == self.lines.len() {
+            self.lines.push((gaussian, priority));
+            self.slot.push(self.heap.len() as u32);
+            self.heap.push(line);
+        } else {
+            self.lines[line as usize] = (gaussian, priority);
+        }
+        self.resift(self.slot[line as usize] as usize);
+    }
+
     /// Simulates one access to `gaussian`'s features.
     ///
     /// `next_use` is the precomputed position (global tile counter value)
     /// of this Gaussian's *next* access, or `u64::MAX` when it is never
     /// accessed again — only meaningful under [`Policy::ReuseDistance`].
-    /// Returns `true` on a hit.
+    /// Returns `true` on a hit. Ids index a dense table (splat ids of
+    /// one frame), so its memory follows the largest id seen.
     pub fn access(&mut self, gaussian: u32, next_use: u64) -> bool {
         self.stamp += 1;
         self.stats.accesses += 1;
@@ -98,12 +168,14 @@ impl GaussianReuseCache {
             Policy::Lru => self.stamp,
             Policy::Fifo => 0, // set on install only
         };
-        if let Some(&line) = self.map.get(&gaussian) {
+        let resident = self.line_of.get(gaussian as usize).copied().unwrap_or(NOT_RESIDENT);
+        if resident != NOT_RESIDENT {
             self.stats.hits += 1;
             // Step 4 (Fig. 12): update the RD field on a hit (or the LRU
             // stamp); FIFO leaves the insertion stamp untouched.
             if self.policy != Policy::Fifo {
-                self.lines[line].1 = priority;
+                self.lines[resident as usize].1 = priority;
+                self.resift(self.slot[resident as usize] as usize);
             }
             return true;
         }
@@ -111,61 +183,39 @@ impl GaussianReuseCache {
         if self.capacity == 0 {
             return false;
         }
+        let install = if self.policy == Policy::Fifo { self.stamp } else { priority };
         if self.lines.len() < self.capacity {
-            self.map.insert(gaussian, self.lines.len());
-            let install = if self.policy == Policy::Fifo { self.stamp } else { priority };
-            self.lines.push((gaussian, install));
+            self.install(self.lines.len() as u32, gaussian, install);
             return false;
         }
         // Steps 2-3 (Fig. 12): compare & select the victim, then load &
         // replace. ReuseDistance evicts the max next-use; LRU/FIFO evict
         // the min stamp.
-        let victim = match self.policy {
-            Policy::ReuseDistance => {
-                let mut best = 0usize;
-                for (i, &(_, p)) in self.lines.iter().enumerate() {
-                    if p > self.lines[best].1 {
-                        best = i;
-                    }
-                }
-                best
-            }
-            Policy::Lru | Policy::Fifo => {
-                let mut best = 0usize;
-                for (i, &(_, p)) in self.lines.iter().enumerate() {
-                    if p < self.lines[best].1 {
-                        best = i;
-                    }
-                }
-                best
-            }
-        };
+        let victim = self.heap[0];
+        let (old, victim_priority) = self.lines[victim as usize];
         // Bypass optimisation for the optimal policy: if the incoming
         // line's next use is farther than every resident line's, caching
         // it cannot help — keep the resident set (Belady allows bypass).
-        if self.policy == Policy::ReuseDistance && next_use > self.lines[victim].1 {
+        if self.policy == Policy::ReuseDistance && next_use > victim_priority {
             return false;
         }
-        let (old, _) = self.lines[victim];
-        self.map.remove(&old);
-        self.map.insert(gaussian, victim);
-        let install = if self.policy == Policy::Fifo { self.stamp } else { priority };
-        self.lines[victim] = (gaussian, install);
+        self.line_of[old as usize] = NOT_RESIDENT;
+        self.install(victim, gaussian, install);
         false
     }
 }
 
 /// Precomputes, for an access trace, the position of each access's *next*
 /// occurrence (`u64::MAX` when none) — the reuse-distance metadata the D&B
-/// engine attaches to its per-tile Gaussian lists (Fig. 12(a)).
+/// engine attaches to its per-tile Gaussian lists (Fig. 12(a)). Like the
+/// cache, it keeps a dense table sized by the largest id in `trace`.
 pub fn next_use_positions(trace: &[u32]) -> Vec<u64> {
-    let mut next: HashMap<u32, u64> = HashMap::new();
+    let ids = trace.iter().max().map_or(0, |&m| m as usize + 1);
+    let mut next = vec![u64::MAX; ids];
     let mut out = vec![u64::MAX; trace.len()];
     for (i, &g) in trace.iter().enumerate().rev() {
-        if let Some(&n) = next.get(&g) {
-            out[i] = n;
-        }
-        next.insert(g, i as u64);
+        out[i] = next[g as usize];
+        next[g as usize] = i as u64;
     }
     out
 }
@@ -183,6 +233,120 @@ pub fn simulate_trace(trace: &[u32], capacity: usize, policy: Policy) -> CacheSt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// The naive reference: the comparator array as a linear scan over
+    /// every line, with `HashMap` lookups.
+    struct NaiveCache {
+        policy: Policy,
+        capacity: usize,
+        map: HashMap<u32, usize>,
+        lines: Vec<(u32, u64)>,
+        stamp: u64,
+        stats: CacheStats,
+    }
+
+    impl NaiveCache {
+        fn new(capacity: usize, policy: Policy) -> Self {
+            let (map, lines) = (HashMap::new(), Vec::new());
+            Self { policy, capacity, map, lines, stamp: 0, stats: CacheStats::default() }
+        }
+
+        fn access(&mut self, gaussian: u32, next_use: u64) -> bool {
+            self.stamp += 1;
+            self.stats.accesses += 1;
+            let priority = match self.policy {
+                Policy::ReuseDistance => next_use,
+                Policy::Lru => self.stamp,
+                Policy::Fifo => 0,
+            };
+            if let Some(&line) = self.map.get(&gaussian) {
+                self.stats.hits += 1;
+                if self.policy != Policy::Fifo {
+                    self.lines[line].1 = priority;
+                }
+                return true;
+            }
+            self.stats.misses += 1;
+            if self.capacity == 0 {
+                return false;
+            }
+            let install = if self.policy == Policy::Fifo { self.stamp } else { priority };
+            if self.lines.len() < self.capacity {
+                self.map.insert(gaussian, self.lines.len());
+                self.lines.push((gaussian, install));
+                return false;
+            }
+            let mut victim = 0usize;
+            for (i, &(_, p)) in self.lines.iter().enumerate() {
+                let better = match self.policy {
+                    Policy::ReuseDistance => p > self.lines[victim].1,
+                    Policy::Lru | Policy::Fifo => p < self.lines[victim].1,
+                };
+                if better {
+                    victim = i;
+                }
+            }
+            if self.policy == Policy::ReuseDistance && next_use > self.lines[victim].1 {
+                return false;
+            }
+            self.map.remove(&self.lines[victim].0);
+            self.map.insert(gaussian, victim);
+            self.lines[victim] = (gaussian, install);
+            false
+        }
+    }
+
+    fn naive_next_use(trace: &[u32]) -> Vec<u64> {
+        let mut next: HashMap<u32, u64> = HashMap::new();
+        let mut out = vec![u64::MAX; trace.len()];
+        for (i, &g) in trace.iter().enumerate().rev() {
+            if let Some(&n) = next.get(&g) {
+                out[i] = n;
+            }
+            next.insert(g, i as u64);
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The indexed victim choice replays the linear scan exactly:
+        /// the same hit/miss at every access and the same statistics,
+        /// under every policy. Ids drawn from a wide range make most
+        /// accesses never-reused (`u64::MAX` next use), so the victim
+        /// ties that the lowest line must break are common.
+        #[test]
+        fn indexed_cache_matches_the_linear_scan(
+            raw in prop::collection::vec(0u32..1 << 16, 0..300),
+            ids in 1u32..80,
+            wide in 0u32..4,
+            cap in 0usize..12,
+        ) {
+            // One trace in four keeps the wide ids: mostly distinct.
+            let modulus = if wide == 0 { u32::MAX } else { ids };
+            let trace: Vec<u32> = raw.iter().map(|&g| g % modulus).collect();
+            let next = next_use_positions(&trace);
+            prop_assert_eq!(&next, &naive_next_use(&trace));
+            let distinct = trace.iter().collect::<std::collections::HashSet<_>>().len();
+            for capacity in [cap, distinct, distinct + 3] {
+                for policy in [Policy::ReuseDistance, Policy::Lru, Policy::Fifo] {
+                    let mut fast = GaussianReuseCache::new(capacity, policy);
+                    let mut naive = NaiveCache::new(capacity, policy);
+                    for (i, &g) in trace.iter().enumerate() {
+                        prop_assert_eq!(
+                            fast.access(g, next[i]),
+                            naive.access(g, next[i]),
+                            "access {} of {:?} at capacity {}", i, policy, capacity
+                        );
+                    }
+                    prop_assert_eq!(fast.stats(), naive.stats);
+                }
+            }
+        }
+    }
 
     #[test]
     fn next_use_positions_basic() {

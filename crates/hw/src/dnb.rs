@@ -57,6 +57,8 @@ pub fn run_scoped(splats: &[Splat2D], bins: &TileBins, cfg: &GbuConfig) -> DnbRe
 }
 
 fn run_inner(splats: &[Splat2D], bins: &TileBins, cfg: &GbuConfig, scoped: bool) -> DnbResult {
+    let recorder = gbu_telemetry::global();
+    let _span = recorder.wall_span("device.dnb", gbu_telemetry::Labels::default());
     let transforms = gbu_render::irss::precompute(splats);
     let mut access_trace = Vec::with_capacity(bins.entries.len());
     for tile in 0..bins.tile_count() {
@@ -78,7 +80,7 @@ fn run_inner(splats: &[Splat2D], bins: &TileBins, cfg: &GbuConfig, scoped: bool)
     };
     let cycles =
         decomposed * cfg.dnb_evd_cycles + access_trace.len() as u64 * cfg.dnb_intersect_cycles;
-    gbu_telemetry::global().histogram("hw.dnb.cycles").record(cycles);
+    recorder.histogram("hw.dnb.cycles").record(cycles);
     DnbResult { transforms, access_trace, next_use, cycles }
 }
 

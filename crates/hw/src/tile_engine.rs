@@ -25,6 +25,7 @@ use gbu_render::binning::TileBins;
 use gbu_render::irss::RowOutcome;
 use gbu_render::{alpha_from_q, FrameBuffer, Splat2D};
 use gbu_scene::Camera;
+use gbu_telemetry::Labels;
 
 /// Transmittance cutoff, identical to the software rasteriser.
 const T_SATURATED: f32 = 1e-4;
@@ -37,10 +38,15 @@ pub struct TileEngine {
 }
 
 /// Result of rendering one frame on the GBU.
+///
+/// `I` is what the run keeps of its pixels: the [`FrameBuffer`] of an
+/// image run ([`TileEngine::render`]), or `()` for a pixel-free run
+/// ([`TileEngine::render_counters`]), whose counters are the image
+/// run's exactly.
 #[derive(Debug, Clone)]
-pub struct GbuRunResult {
+pub struct GbuRunResult<I = FrameBuffer> {
     /// The rendered image (FP-16 datapath when configured).
-    pub image: FrameBuffer,
+    pub image: I,
     /// Total Tile-PE cycles for the frame (sum over tiles of the
     /// per-tile critical path, plus per-tile overhead).
     pub compute_cycles: u64,
@@ -62,7 +68,7 @@ pub struct GbuRunResult {
     pub tiles: u64,
 }
 
-impl GbuRunResult {
+impl<I> GbuRunResult<I> {
     /// Mean row-unit utilization: busy cycles over available row-unit
     /// cycles (each Row PE runs its two rows on parallel lanes, so a tile
     /// has `row_pes × rows_per_pe` row units). Contrast with the 18.9%
@@ -81,10 +87,33 @@ impl GbuRunResult {
     }
 }
 
+/// What a run keeps of its pixels: the pixel rows the Row PEs flush
+/// into (empty when the run keeps no image).
+trait RunImage: Send {
+    fn pixels(&mut self) -> &mut [Vec3];
+}
+
+impl RunImage for FrameBuffer {
+    fn pixels(&mut self) -> &mut [Vec3] {
+        self.pixels_mut()
+    }
+}
+
+impl RunImage for () {
+    fn pixels(&mut self) -> &mut [Vec3] {
+        &mut []
+    }
+}
+
 /// Per-pixel blending state, generic over the datapath precision.
 /// (`Send` so per-worker pixel buffers can live on pool workers.)
 trait PixelState: Clone + Send {
     fn fresh() -> Self;
+    /// An instance's color as the datapath holds it, converted once per
+    /// instance and passed to every [`PixelState::blend`] of it.
+    fn instance_color(color: Vec3) -> Vec3 {
+        color
+    }
     fn transmittance(&self) -> f32;
     fn blend(&mut self, alpha: f32, color: Vec3);
     fn color(&self) -> Vec3;
@@ -116,30 +145,59 @@ impl PixelState for StateF32 {
 /// FP16 state modelling the Row PE datapath (Sec. VI-B): every
 /// intermediate — α, the running color and the transmittance — is rounded
 /// to binary16 per operation, which is the source of Tab. IV's ≤0.1 PSNR
-/// loss.
+/// loss. The values are held in `f32`, each one an exact binary16
+/// number, and every operation rounds through [`F16::round_f32`]: bit
+/// for bit the arithmetic of [`F16`] (an `F16` product or sum is the
+/// `f32` operation on the decoded values, rounded once).
 #[derive(Clone)]
 struct StateF16 {
-    color: [F16; 3],
-    trans: F16,
+    color: Vec3,
+    trans: f32,
+}
+
+fn round3(v: Vec3) -> Vec3 {
+    Vec3::new(F16::round_f32(v.x), F16::round_f32(v.y), F16::round_f32(v.z))
 }
 
 impl PixelState for StateF16 {
     fn fresh() -> Self {
-        Self { color: [F16::ZERO; 3], trans: F16::ONE }
+        Self { color: Vec3::ZERO, trans: 1.0 }
+    }
+    fn instance_color(color: Vec3) -> Vec3 {
+        round3(color)
     }
     fn transmittance(&self) -> f32 {
-        self.trans.to_f32()
+        self.trans
     }
     fn blend(&mut self, alpha: f32, color: Vec3) {
-        let a = F16::from_f32(alpha);
-        let w = a * self.trans;
-        self.color[0] = F16::from_f32(color.x).mul_add(w, self.color[0]);
-        self.color[1] = F16::from_f32(color.y).mul_add(w, self.color[1]);
-        self.color[2] = F16::from_f32(color.z).mul_add(w, self.color[2]);
-        self.trans = self.trans * (F16::ONE - a);
+        let a = F16::round_f32(alpha);
+        let w = F16::round_f32(a * self.trans);
+        // The FMA units: `color * w + acc` with a single rounding.
+        self.color = round3(color * w + self.color);
+        self.trans = F16::round_f32(self.trans * F16::round_f32(1.0 - a));
     }
     fn color(&self) -> Vec3 {
-        Vec3::new(self.color[0].to_f32(), self.color[1].to_f32(), self.color[2].to_f32())
+        self.color
+    }
+}
+
+/// No pixel state: a run that keeps no image. Cycles, fragments, the
+/// cache and DRAM traffic never read pixel state (a saturated pixel is
+/// still marched and counted, only its blend is skipped), so this run
+/// counts exactly what an image run counts.
+#[derive(Clone)]
+struct NoPixels;
+
+impl PixelState for NoPixels {
+    fn fresh() -> Self {
+        NoPixels
+    }
+    fn transmittance(&self) -> f32 {
+        1.0
+    }
+    fn blend(&mut self, _alpha: f32, _color: Vec3) {}
+    fn color(&self) -> Vec3 {
+        Vec3::ZERO
     }
 }
 
@@ -171,9 +229,9 @@ impl TileEngine {
     ///
     /// The run splits into two phases: the Gaussian Reuse Cache is one
     /// shared structure whose state threads through the whole frame, so
-    /// its simulation walks the D&B access trace serially (it is a few
-    /// table lookups per instance); the per-tile shading and queue
-    /// timing — all of the real work — is independent per tile and is
+    /// its simulation walks the D&B access trace serially (one ordered
+    /// index update per access, one victim lookup per miss); the
+    /// per-tile shading and queue timing is independent per tile and is
     /// dispatched across the pool one tile row at a time. Results are
     /// merged in tile order, so cycle counts and the image are identical
     /// at every thread count.
@@ -188,15 +246,36 @@ impl TileEngine {
         background: Vec3,
         policy: Policy,
     ) -> GbuRunResult {
+        let image = FrameBuffer::new(camera.width, camera.height, background);
         if self.config.fp16_datapath {
-            self.render_with::<StateF16>(pool, splats, dnb, bins, camera, background, policy)
+            self.render_with::<StateF16, _>(
+                pool, splats, dnb, bins, camera, background, policy, image,
+            )
         } else {
-            self.render_with::<StateF32>(pool, splats, dnb, bins, camera, background, policy)
+            self.render_with::<StateF32, _>(
+                pool, splats, dnb, bins, camera, background, policy, image,
+            )
         }
     }
 
+    /// [`TileEngine::render`] without the image: the same counters —
+    /// cycles, cache statistics, DRAM bytes, instances, spans, fragments
+    /// and tiles — for hosts that discard the pixels, at the cost of
+    /// marching the fragments but shading none.
+    pub fn render_counters(
+        &self,
+        splats: &[Splat2D],
+        dnb: &DnbResult,
+        bins: &TileBins,
+        camera: &Camera,
+        policy: Policy,
+    ) -> GbuRunResult<()> {
+        let pool = gbu_par::global();
+        self.render_with::<NoPixels, _>(pool, splats, dnb, bins, camera, Vec3::ZERO, policy, ())
+    }
+
     #[allow(clippy::too_many_arguments)]
-    fn render_with<S: PixelState>(
+    fn render_with<S: PixelState, I: RunImage>(
         &self,
         pool: &ThreadPool,
         splats: &[Splat2D],
@@ -205,38 +284,31 @@ impl TileEngine {
         camera: &Camera,
         background: Vec3,
         policy: Policy,
-    ) -> GbuRunResult {
+        mut image: I,
+    ) -> GbuRunResult<I> {
         assert_eq!(dnb.transforms.len(), splats.len(), "D&B transforms mismatch splat list");
         let cfg = &self.config;
         assert_eq!(cfg.covered_rows(), 16, "Row PEs must cover the 16-row tile");
-        let mut image = FrameBuffer::new(camera.width, camera.height, background);
-        let mut result = GbuRunResult {
-            image: FrameBuffer::new(1, 1, background),
-            compute_cycles: 0,
-            rowgen_cycles: 0,
-            pe_busy_cycles: 0,
-            cache: CacheStats::default(),
-            dram_bytes: 0,
-            instances: 0,
-            spans: 0,
-            fragments: 0,
-            tiles: 0,
-        };
+        let recorder = gbu_telemetry::global();
 
         // Phase 1 — the Gaussian Reuse Cache over the full access trace
         // (instance stream in tile order), exactly as the D&B engine
         // feeds it.
+        let phase = recorder.wall_span("device.reuse_cache", Labels::default());
         let mut cache = GaussianReuseCache::new(cfg.cache_lines(), policy);
+        let mut dram_bytes = 0;
         for (pos, &entry) in dnb.access_trace.iter().enumerate() {
             if !cache.access(entry, dnb.next_use[pos]) {
-                result.dram_bytes += cfg.bytes_per_miss;
+                dram_bytes += cfg.bytes_per_miss;
             }
         }
-        result.cache = cache.stats();
+        drop(phase);
 
         // Phase 2 — per-tile shading and Row-PE queue timing, tile rows
-        // in parallel. Each job owns its slice of image rows; per-worker
-        // scratch holds the tile pixel states and Row-PE free times.
+        // in parallel. Each job owns its slice of image rows (none when
+        // the run keeps no image); per-worker scratch holds the tile
+        // pixel states and Row-PE free times.
+        let _phase = recorder.wall_span("device.tile_shade", Labels::default());
         struct RowJob<'a> {
             ty: u32,
             pixels: &'a mut [Vec3],
@@ -256,13 +328,11 @@ impl TileEngine {
         let tile_px = (bins.tile_size * bins.tile_size) as usize;
         let row_px = bins.tile_size as usize * camera.width as usize;
         let width = camera.width as usize;
-        let mut jobs: Vec<RowJob> = image
-            .pixels_mut()
-            .chunks_mut(row_px)
-            .enumerate()
-            .map(|(ty, pixels)| RowJob {
-                ty: ty as u32,
-                pixels,
+        let mut rows = image.pixels().chunks_mut(row_px);
+        let mut jobs: Vec<RowJob> = (0..bins.tiles_y)
+            .map(|ty| RowJob {
+                ty,
+                pixels: rows.next().unwrap_or_default(),
                 compute_cycles: 0,
                 rowgen_cycles: 0,
                 pe_busy_cycles: 0,
@@ -306,6 +376,7 @@ impl TileEngine {
                 for &entry in entries {
                     job.instances += 1;
                     let isp = &dnb.transforms[entry as usize];
+                    let color = S::instance_color(isp.color);
                     rowgen_t += cfg.rowgen_instance_cycles;
 
                     let mut nspans = 0u64;
@@ -322,7 +393,7 @@ impl TileEngine {
                             if st.transmittance() < T_SATURATED {
                                 return;
                             }
-                            st.blend(alpha_from_q(isp.opacity, q), isp.color);
+                            st.blend(alpha_from_q(isp.opacity, q), color);
                         });
                         // The marching above counts interior fragments;
                         // the terminating out-of-threshold fragment also
@@ -346,6 +417,9 @@ impl TileEngine {
 
                 // Flush the row pixel buffers to this tile row's slice of
                 // the frame buffer (`pixels` starts at image row `y0`).
+                if job.pixels.is_empty() {
+                    continue;
+                }
                 for py in y0..y1 {
                     for px in x0..x1 {
                         let st = &state[(py - y0) as usize * w + (px - x0) as usize];
@@ -356,18 +430,27 @@ impl TileEngine {
             }
         });
 
-        for job in &jobs {
-            result.compute_cycles += job.compute_cycles;
-            result.rowgen_cycles += job.rowgen_cycles;
-            result.pe_busy_cycles += job.pe_busy_cycles;
-            result.instances += job.instances;
-            result.spans += job.spans;
-            result.fragments += job.fragments;
-            result.tiles += job.tiles;
-        }
+        let total = |count: fn(&RowJob) -> u64| jobs.iter().map(count).sum();
+        let compute_cycles = total(|j| j.compute_cycles);
+        let rowgen_cycles = total(|j| j.rowgen_cycles);
+        let pe_busy_cycles = total(|j| j.pe_busy_cycles);
+        let instances = total(|j| j.instances);
+        let spans = total(|j| j.spans);
+        let fragments = total(|j| j.fragments);
+        let tiles = total(|j| j.tiles);
         drop(jobs);
-        result.image = image;
-        result
+        GbuRunResult {
+            image,
+            compute_cycles,
+            rowgen_cycles,
+            pe_busy_cycles,
+            cache: cache.stats(),
+            dram_bytes,
+            instances,
+            spans,
+            fragments,
+            tiles,
+        }
     }
 }
 
@@ -410,6 +493,99 @@ mod tests {
         let r = engine.render(&splats, &d, &bins, &cam, Vec3::ZERO, Policy::ReuseDistance);
         let sw = render_irss(&scene, &cam, &RenderConfig::default());
         (r, cfg, sw.image)
+    }
+
+    /// The counters a run is compared by, in a fixed order.
+    fn counters<I>(r: &GbuRunResult<I>) -> [u64; 11] {
+        [
+            r.compute_cycles,
+            r.rowgen_cycles,
+            r.pe_busy_cycles,
+            r.cache.accesses,
+            r.cache.hits,
+            r.cache.misses,
+            r.dram_bytes,
+            r.instances,
+            r.spans,
+            r.fragments,
+            r.tiles,
+        ]
+    }
+
+    /// FNV-1a over the bit patterns of every pixel channel.
+    fn image_hash(image: &FrameBuffer) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for p in image.pixels() {
+            for c in [p.x, p.y, p.z] {
+                for b in c.to_bits().to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// The golden scene: 300 overlapping splats on a 128×96 frame, dense
+    /// enough to saturate pixels and, with a 1 KiB cache, to evict.
+    fn golden_inputs() -> (Vec<Splat2D>, TileBins, Camera) {
+        let (scene, _) = test_scene(300);
+        let cam = Camera::orbit(128, 96, 1.0, Vec3::ZERO, 3.0, 0.5, 0.2);
+        let (splats, _) = project_scene(&scene, &cam);
+        let (bins, _) = bin_splats(&splats, &cam, 16);
+        (splats, bins, cam)
+    }
+
+    /// Pins the FP16 (and one FP32) image bit for bit and every counter
+    /// on a fixed scene, across the three cache policies. The values were
+    /// produced by the `F16`-encoded datapath with the linear-scan cache
+    /// victim, so any change to the datapath's rounding or to the
+    /// cache's choices shows here.
+    #[test]
+    fn golden_image_and_counters() {
+        let small = GbuConfig { cache_kib: 1, ..GbuConfig::paper() };
+        let cases = [
+            (GbuConfig::paper(), Policy::ReuseDistance, 0xf276_0aed_3dbd_a3a6, [45_000, 933, 300]),
+            (small.clone(), Policy::ReuseDistance, 0xf276_0aed_3dbd_a3a6, [123_900, 407, 826]),
+            (small.clone(), Policy::Lru, 0xf276_0aed_3dbd_a3a6, [169_050, 106, 1127]),
+            (
+                GbuConfig { fp16_datapath: false, ..small },
+                Policy::Fifo,
+                0x3100_d476_6115_f696,
+                [162_750, 148, 1085],
+            ),
+        ];
+        let (splats, bins, cam) = golden_inputs();
+        for (cfg, policy, hash, [dram, hits, misses]) in cases {
+            let d = dnb::run(&splats, &bins, &cfg);
+            let r = TileEngine::new(cfg).render(
+                &splats,
+                &d,
+                &bins,
+                &cam,
+                Vec3::new(0.1, 0.2, 0.3),
+                policy,
+            );
+            assert_eq!(image_hash(&r.image), hash, "image bits under {policy:?}");
+            let want = [8467, 2346, 84_559, 1233, hits, misses, dram, 1233, 9155, 75_404, 19];
+            assert_eq!(counters(&r), want, "counters under {policy:?}");
+        }
+    }
+
+    /// A pixel-free run counts exactly what the image run counts, for
+    /// both datapaths and every policy.
+    #[test]
+    fn pixel_free_run_counts_what_the_image_run_counts() {
+        let (splats, bins, cam) = golden_inputs();
+        for fp16 in [true, false] {
+            for policy in [Policy::ReuseDistance, Policy::Lru, Policy::Fifo] {
+                let cfg = GbuConfig { fp16_datapath: fp16, cache_kib: 1, ..GbuConfig::paper() };
+                let d = dnb::run(&splats, &bins, &cfg);
+                let engine = TileEngine::new(cfg);
+                let image = engine.render(&splats, &d, &bins, &cam, Vec3::ZERO, policy);
+                let free = engine.render_counters(&splats, &d, &bins, &cam, policy);
+                assert_eq!(counters(&free), counters(&image), "fp16={fp16} {policy:?}");
+            }
+        }
     }
 
     #[test]

@@ -104,6 +104,41 @@ impl F16 {
         Self(out)
     }
 
+    /// Rounds an `f32` to the nearest binary16 value and returns it as an
+    /// `f32`: bit for bit `F16::from_f32(x).to_f32()`, without the trip
+    /// through the 16-bit encoding. Lets a datapath hold binary16 values
+    /// in `f32` registers and round once per operation.
+    #[inline]
+    pub fn round_f32(x: f32) -> f32 {
+        let bits = x.to_bits();
+        let sign = bits & 0x8000_0000;
+        let abs = bits & 0x7FFF_FFFF;
+        let rounded = if abs >= 0x7F80_0000 {
+            // Inf stays; every NaN becomes the quiet NaN `to_f32` emits.
+            if abs == 0x7F80_0000 {
+                abs
+            } else {
+                0x7FC0_0000
+            }
+        } else if abs >= 0x3880_0000 {
+            // Normal half (|x| >= 2^-14): round the 13 dropped fraction
+            // bits to nearest-even; a carry may ripple into the exponent.
+            let r = (abs + 0x0FFF + ((abs >> 13) & 1)) & !0x1FFF;
+            // 2^16 and above overflow the half range.
+            if r >= 0x4780_0000 {
+                0x7F80_0000
+            } else {
+                r
+            }
+        } else {
+            // Subnormal half: a multiple of 2^-24. Adding 0.5 (whose f32
+            // ulp is 2^-24) rounds to nearest-even there; taking 0.5
+            // away again is exact.
+            ((f32::from_bits(abs) + 0.5) - 0.5).to_bits()
+        };
+        f32::from_bits(sign | rounded)
+    }
+
     /// Converts to `f32` (exact: every binary16 value is representable).
     pub fn to_f32(self) -> f32 {
         let sign = ((self.0 & 0x8000) as u32) << 16;
@@ -344,6 +379,67 @@ mod tests {
     fn abs_clears_sign() {
         assert_eq!(F16::from_f32(-3.5).abs().to_f32(), 3.5);
         assert_eq!(F16::from_f32(3.5).abs().to_f32(), 3.5);
+    }
+
+    /// `round_f32(x)` must be `from_f32(x).to_f32()` bit for bit.
+    fn assert_round_f32_matches(x: f32) {
+        let want = F16::from_f32(x).to_f32().to_bits();
+        let got = F16::round_f32(x).to_bits();
+        assert_eq!(got, want, "round_f32({x:e}) [{:#010x}]", x.to_bits());
+    }
+
+    /// The f32 values one ulp either side of `x` (and `x` itself).
+    fn with_neighbours(x: f32) -> [f32; 3] {
+        let b = x.to_bits();
+        [x, f32::from_bits(b.wrapping_sub(1)), f32::from_bits(b.wrapping_add(1))]
+    }
+
+    #[test]
+    fn round_f32_matches_the_encoding_round_trip_at_every_edge() {
+        let mut values = vec![0.0f32, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN];
+        // NaN payloads, signalling and quiet, both signs.
+        values.extend(
+            [0x7F80_0001u32, 0x7FBF_FFFF, 0x7FC0_0001, 0xFF80_0001, 0xFFFF_FFFF]
+                .map(f32::from_bits),
+        );
+        // The overflow edge: the largest half, the tie to 2^16, beyond.
+        values.extend([65504.0f32, 65520.0, 65536.0, 1e10, f32::MAX]);
+        // f32 subnormals and the flush-to-zero edge around 2^-25.
+        values.extend([f32::from_bits(1), f32::MIN_POSITIVE, 2f32.powi(-25), 2f32.powi(-26)]);
+        for bits in 0u16..=0xFFFF {
+            let h = F16::from_bits(bits);
+            if h.is_nan() {
+                continue;
+            }
+            let x = h.to_f32();
+            values.push(x);
+            // The round-half boundary to the next binary16 value up in
+            // magnitude (exact in f32: a half has 11 significant bits).
+            let next = F16::from_bits(bits.wrapping_add(1));
+            if h.is_finite() && !next.is_nan() {
+                let up = if next.is_infinite() { x.signum() * 65536.0 } else { next.to_f32() };
+                values.push((x + up) / 2.0);
+            }
+        }
+        for &x in &values {
+            for v in with_neighbours(x) {
+                assert_round_f32_matches(v);
+                assert_round_f32_matches(-v);
+            }
+        }
+    }
+
+    /// Every one of the 2^32 f32 bit patterns (~30 s in release; run with
+    /// `cargo test --release -p gbu_math -- --ignored`).
+    #[test]
+    #[ignore = "exhaustive over 2^32 inputs; run in release"]
+    fn round_f32_matches_the_encoding_round_trip_exhaustively() {
+        for bits in 0..=u32::MAX {
+            let x = f32::from_bits(bits);
+            if F16::round_f32(x).to_bits() != F16::from_f32(x).to_f32().to_bits() {
+                assert_round_f32_matches(x);
+            }
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 
 use gbu_math::Vec3;
 
-/// A linear-RGB frame buffer.
-#[derive(Debug, Clone, PartialEq)]
+/// A linear-RGB frame buffer. The [`Default`] buffer is empty (0×0, no
+/// pixels): what is left where an image has been moved out.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FrameBuffer {
     width: u32,
     height: u32,

@@ -14,10 +14,12 @@
 //! its [`RunScope`]: the whole frame, or one shard's tile rows run
 //! through the scoped device entry point. The memo keeps counters only —
 //! occupancy and DRAM bytes — plus the image when the engine retains
-//! images ([`crate::ServeConfig::retain_images`]); without retention no
-//! pixels are stored and none are handed on.
+//! images ([`crate::ServeConfig::retain_images`]); without retention a
+//! miss computes a pixel-free run ([`Gbu::run_counters`]), so no pixels
+//! are shaded, stored or handed on.
 
 use crate::session::PreparedView;
+use gbu_core::device::DeviceRun;
 use gbu_core::Gbu;
 use gbu_hw::GbuConfig;
 use gbu_math::Vec3;
@@ -94,6 +96,17 @@ pub struct RunRecord {
     pub image: Option<Arc<FrameBuffer>>,
 }
 
+impl RunRecord {
+    /// The record of `run`, keeping what `image` makes of its image.
+    fn of<I>(run: DeviceRun<I>, image: impl FnOnce(I) -> Option<FrameBuffer>) -> Self {
+        Self {
+            occupancy: run.occupancy,
+            dram_bytes: run.run.dram_bytes,
+            image: image(run.run.image).map(Arc::new),
+        }
+    }
+}
+
 /// The runs of one view: one entry per scope, keyed by the shard's tile
 /// rows (`None`: the unscoped whole-frame run).
 type ScopedRuns = Vec<(Option<Box<[u32]>>, RunRecord)>;
@@ -135,19 +148,23 @@ impl DeviceMemo {
             return &entries[i].1;
         }
         misses.add(1);
-        let run = match scope {
-            RunScope::Frame => device.run(&view.splats, &view.bins, &view.camera, Vec3::ZERO),
-            RunScope::Shard { plan, shard } => device.run_scoped(
-                &view.splats,
-                &plan.shard_bins(&view.bins, shard),
-                &view.camera,
-                Vec3::ZERO,
-            ),
+        let shard_bins = match scope {
+            RunScope::Frame => None,
+            RunScope::Shard { plan, shard } => Some(plan.shard_bins(&view.bins, shard)),
         };
-        let record = RunRecord {
-            occupancy: run.occupancy,
-            dram_bytes: run.run.dram_bytes,
-            image: retain_images.then(|| Arc::new(run.run.image)),
+        let (splats, camera) = (&view.splats, &view.camera);
+        let record = match (shard_bins, *retain_images) {
+            (None, true) => RunRecord::of(device.run(splats, &view.bins, camera, Vec3::ZERO), Some),
+            (Some(bins), true) => {
+                RunRecord::of(device.run_scoped(splats, &bins, camera, Vec3::ZERO), Some)
+            }
+            // Without retention the run shades no pixel at all.
+            (None, false) => {
+                RunRecord::of(device.run_counters(splats, &view.bins, camera), |()| None)
+            }
+            (Some(bins), false) => {
+                RunRecord::of(device.run_scoped_counters(splats, &bins, camera), |()| None)
+            }
         };
         entries.push((rows.map(Box::from), record));
         &entries.last().expect("just pushed").1

@@ -236,9 +236,7 @@ pub(crate) fn prepare_view(scene: &GaussianScene, camera: Camera) -> PreparedVie
 /// max(D&B, Tile PE) cycles — what `render_image` schedules, not just
 /// the tile-engine share.
 pub(crate) fn probe_view_cycles(view: &PreparedView, gbu: &GbuConfig) -> u64 {
-    gbu_core::Gbu::new(gbu.clone())
-        .run(&view.splats, &view.bins, &view.camera, Vec3::ZERO)
-        .occupancy
+    gbu_core::Gbu::new(gbu.clone()).run_counters(&view.splats, &view.bins, &view.camera).occupancy
 }
 
 fn orbit_views(
