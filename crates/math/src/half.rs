@@ -108,34 +108,36 @@ impl F16 {
     /// `f32`: bit for bit `F16::from_f32(x).to_f32()`, without the trip
     /// through the 16-bit encoding. Lets a datapath hold binary16 values
     /// in `f32` registers and round once per operation.
+    ///
+    /// Branch-free: the normal, subnormal and inf/NaN results are all
+    /// computed and the right one is selected by bit masks, so the cost
+    /// does not depend on the value being rounded.
     #[inline]
     pub fn round_f32(x: f32) -> f32 {
+        /// All ones when `cond` holds, else zero.
+        #[inline(always)]
+        fn mask(cond: bool) -> u32 {
+            (cond as u32).wrapping_neg()
+        }
         let bits = x.to_bits();
         let sign = bits & 0x8000_0000;
         let abs = bits & 0x7FFF_FFFF;
-        let rounded = if abs >= 0x7F80_0000 {
-            // Inf stays; every NaN becomes the quiet NaN `to_f32` emits.
-            if abs == 0x7F80_0000 {
-                abs
-            } else {
-                0x7FC0_0000
-            }
-        } else if abs >= 0x3880_0000 {
-            // Normal half (|x| >= 2^-14): round the 13 dropped fraction
-            // bits to nearest-even; a carry may ripple into the exponent.
-            let r = (abs + 0x0FFF + ((abs >> 13) & 1)) & !0x1FFF;
-            // 2^16 and above overflow the half range.
-            if r >= 0x4780_0000 {
-                0x7F80_0000
-            } else {
-                r
-            }
-        } else {
-            // Subnormal half: a multiple of 2^-24. Adding 0.5 (whose f32
-            // ulp is 2^-24) rounds to nearest-even there; taking 0.5
-            // away again is exact.
-            ((f32::from_bits(abs) + 0.5) - 0.5).to_bits()
-        };
+        // Normal half (|x| >= 2^-14): round the 13 dropped fraction bits
+        // to nearest-even; a carry may ripple into the exponent, and 2^16
+        // and above overflow the half range to inf.
+        let normal = (abs + 0x0FFF + ((abs >> 13) & 1)) & !0x1FFF;
+        let overflow = mask(normal >= 0x4780_0000);
+        let normal = (normal & !overflow) | (0x7F80_0000 & overflow);
+        // Subnormal half: a multiple of 2^-24. Adding 0.5 (whose f32 ulp
+        // is 2^-24) rounds to nearest-even there; taking 0.5 away again is
+        // exact.
+        let subnormal = ((f32::from_bits(abs) + 0.5) - 0.5).to_bits();
+        // Inf stays; every NaN becomes the quiet NaN `to_f32` emits.
+        let special = 0x7F80_0000 | (u32::from(abs > 0x7F80_0000) << 22);
+        let is_special = mask(abs >= 0x7F80_0000);
+        let is_normal = mask(abs >= 0x3880_0000) & !is_special;
+        let is_subnormal = !(is_special | is_normal);
+        let rounded = (special & is_special) | (normal & is_normal) | (subnormal & is_subnormal);
         f32::from_bits(sign | rounded)
     }
 

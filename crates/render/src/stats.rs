@@ -64,9 +64,12 @@ pub struct BlendStats {
     /// (splat, tile) instances processed.
     pub instances: u64,
     /// Fragments on which Eq. 7 (or its shared-computation equivalent) was
-    /// evaluated. Under PFS this is `256 × instances` minus saturated-tile
-    /// skips; under IRSS only fragments inside / at the boundary of row
-    /// spans are counted.
+    /// evaluated. Under PFS this is the lockstep count: per instance, the
+    /// tile's pixels that have not saturated yet (all `w × h` of them, so
+    /// 256 on a full tile and fewer on edge tiles, until pixels saturate).
+    /// It is modeled, not what the host computes (see `crate::pfs`).
+    /// Under IRSS only fragments inside / at the boundary of row spans are
+    /// counted.
     pub fragments_evaluated: u64,
     /// Fragments whose opacity cleared the `1/255` cutoff (the paper's
     /// "significant" fragments).
