@@ -45,7 +45,8 @@ use crate::store::SceneStore;
 use gbu_gpu::GpuConfig;
 use gbu_hw::GbuConfig;
 use gbu_render::FrameBuffer;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 /// Configuration of one serving engine.
@@ -253,9 +254,31 @@ struct FleetRuntime {
     parked: Vec<bool>,
     /// Home lane per session index (migration policy only; `None` =
     /// unassigned, e.g. sharded sessions, which span lanes by nature).
+    /// Written only through [`FleetRuntime::set_home`].
     homes: Vec<Option<usize>>,
+    /// Sessions homed on each lane: `home_counts[l]` is the number of
+    /// `Some(l)` entries in `homes`.
+    home_counts: Vec<usize>,
     /// Telemetry gauge tracking the live-lane count through churn.
     lanes_active: gbu_telemetry::Gauge,
+}
+
+impl FleetRuntime {
+    /// Sets session `s`'s home lane, keeping `home_counts` in step.
+    fn set_home(&mut self, s: usize, lane: Option<usize>) {
+        if s >= self.homes.len() {
+            if lane.is_none() {
+                return;
+            }
+            self.homes.resize(s + 1, None);
+        }
+        if let Some(old) = std::mem::replace(&mut self.homes[s], lane) {
+            self.home_counts[old] -= 1;
+        }
+        if let Some(new) = lane {
+            self.home_counts[new] += 1;
+        }
+    }
 }
 
 /// Engine-side state of an active [`QualityGovernor`] (see
@@ -305,6 +328,17 @@ pub struct ServeEngine {
     scheduler: Box<dyn Scheduler>,
     /// Attached sessions; `None` marks a detached (retired) id.
     slots: Vec<Option<Slot>>,
+    /// QoS-timer arrivals, earliest first: one `(cycle, session index)`
+    /// entry per slot whose `next_arrival` is `Some` (equal to it), plus
+    /// stale entries of detached sessions, skipped where met.
+    arrivals: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Number of slots whose `next_arrival` is `Some`.
+    live_timers: usize,
+    /// Latest arrival stamped on a pushed frame. Timer frames are
+    /// admitted already due and requeued frames arrived before their
+    /// dispatch, so once the backend clock reaches this cycle no queued
+    /// frame arrives in the future.
+    latest_push: u64,
     /// `(name, qos_hz)` of every session ever attached, by id.
     roster: Vec<(String, f64)>,
     /// Ready queue of admitted frames.
@@ -403,6 +437,7 @@ impl ServeEngine {
                 failed: vec![false; lanes],
                 parked: vec![false; lanes],
                 homes: Vec::new(),
+                home_counts: vec![0; lanes],
                 lanes_active,
             }
         });
@@ -436,6 +471,9 @@ impl ServeEngine {
             backend,
             scheduler,
             slots: Vec::new(),
+            arrivals: BinaryHeap::new(),
+            live_timers: 0,
+            latest_push: 0,
             roster: Vec::new(),
             queue: Vec::new(),
             statuses: Vec::new(),
@@ -511,6 +549,10 @@ impl ServeEngine {
         let next_arrival = (session.spec.frames > 0).then_some((base.saturating_add(phase), 0));
         self.roster.push((session.spec.name.clone(), session.spec.qos.hz));
         let min_service = mode.min_service(session.min_frame_cycles());
+        if let Some((at, _)) = next_arrival {
+            self.arrivals.push(Reverse((at, id.index())));
+            self.live_timers += 1;
+        }
         self.slots.push(Some(Slot { session, period, mode, min_service, next_arrival }));
         // Migration policy: every unsharded session gets a home lane at
         // attach (the coldest live lane), mirrored into the backend as a
@@ -519,17 +561,15 @@ impl ServeEngine {
         if self.cfg.fleet.migration.is_some() {
             if let Some(mut fleet) = self.fleet.take() {
                 if matches!(mode, ExecMode::Unsharded) {
-                    if fleet.homes.len() <= id.index() {
-                        fleet.homes.resize(id.index() + 1, None);
-                    }
                     if let Some(lane) = self.coldest_live_lane(&fleet) {
-                        fleet.homes[id.index()] = Some(lane);
+                        fleet.set_home(id.index(), Some(lane));
                         self.backend.set_lane_affinity(id, Some(lane));
                     }
                 }
                 self.fleet = Some(fleet);
             }
         }
+        self.debug_check_indexes();
         id
     }
 
@@ -553,6 +593,9 @@ impl ServeEngine {
     pub fn detach_session(&mut self, id: SessionId) -> bool {
         let Some(slot) = self.slots.get_mut(id.index()) else { return false };
         let Some(retired) = slot.take() else { return false };
+        if retired.next_arrival.is_some() {
+            self.live_timers -= 1;
+        }
         let now = self.now();
         // The backend clock lags at the last event; bring it forward to
         // the detach time so the cancellation frees devices *now*, not
@@ -561,14 +604,9 @@ impl ServeEngine {
         // advance crosses none (any stragglers are completed properly).
         self.advance_backend_to(now);
         // Cancel queued-not-started frames ...
-        let mut i = 0;
-        while i < self.queue.len() {
-            if self.queue[i].session == id {
-                let ticket = self.queue.remove(i);
-                self.drop_ticket(ticket, DropReason::SessionDetached, now);
-            } else {
-                i += 1;
-            }
+        let queued: Vec<FrameTicket> = self.queue.extract_if(.., |t| t.session == id).collect();
+        for ticket in queued {
+            self.drop_ticket(ticket, DropReason::SessionDetached, now);
         }
         // ... and preempt in-flight ones.
         for ticket in self.backend.cancel_session(id) {
@@ -576,13 +614,13 @@ impl ServeEngine {
         }
         // Retire the session's home lane and backend affinity, if any.
         if let Some(fleet) = self.fleet.as_mut() {
-            if let Some(home) = fleet.homes.get_mut(id.index()) {
-                if home.take().is_some() {
-                    self.backend.set_lane_affinity(id, None);
-                }
+            if fleet.homes.get(id.index()).copied().flatten().is_some() {
+                fleet.set_home(id.index(), None);
+                self.backend.set_lane_affinity(id, None);
             }
         }
         self.release_views(retired.session);
+        self.debug_check_indexes();
         true
     }
 
@@ -652,6 +690,7 @@ impl ServeEngine {
             return id;
         };
         let deadline = at.saturating_add(slot.period);
+        self.latest_push = self.latest_push.max(at);
         let id = self.alloc_frame();
         let ticket = FrameTicket { id, session, frame: view, arrival: at, deadline };
         // In-flight-aware admission reads the devices' remaining work,
@@ -692,7 +731,7 @@ impl ServeEngine {
         self.pending.is_empty()
             && self.queue.is_empty()
             && self.backend.in_flight_frames() == 0
-            && self.slots.iter().flatten().all(|s| s.next_arrival.is_none())
+            && self.live_timers == 0
     }
 
     /// Advances the simulation until the next event lies beyond `cycle`,
@@ -737,9 +776,12 @@ impl ServeEngine {
             // Advance to the next event: completion, timer arrival, a
             // pushed frame whose stamped arrival is still in the future,
             // or a fleet intervention (plan event / autoscale tick).
-            let next_timer =
-                self.slots.iter().flatten().filter_map(|s| s.next_arrival.map(|(at, _)| at)).min();
-            let next_push = self.queue.iter().map(|t| t.arrival).filter(|&a| a > now).min();
+            let next_timer = self.next_timer();
+            let next_push = if now < self.latest_push {
+                self.queue.iter().map(|t| t.arrival).filter(|&a| a > now).min()
+            } else {
+                None
+            };
             let next_completion =
                 self.backend.next_completion_dt().map(|dt| now.saturating_add(dt));
             let next_fleet = self.fleet_next_time();
@@ -759,7 +801,47 @@ impl ServeEngine {
             }
             events.append(&mut self.pending);
         }
+        self.debug_check_indexes();
         events
+    }
+
+    /// The earliest pending QoS-timer arrival, discarding stale heap
+    /// entries of detached sessions on the way.
+    fn next_timer(&mut self) -> Option<u64> {
+        while let Some(&Reverse((at, s))) = self.arrivals.peek() {
+            if self.slots[s].is_some() {
+                return Some(at);
+            }
+            self.arrivals.pop();
+        }
+        None
+    }
+
+    /// Debug builds: checks that the incremental indexes agree with the
+    /// state they summarise — the per-lane home counts with a recount of
+    /// the homes, the live-timer count and the arrival heap with the
+    /// slots' timers.
+    fn debug_check_indexes(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let timers = self.slots.iter().flatten().filter(|s| s.next_arrival.is_some()).count();
+        debug_assert_eq!(self.live_timers, timers, "live-timer count");
+        let mut heaped = 0;
+        for &Reverse((at, s)) in &self.arrivals {
+            if let Some(slot) = &self.slots[s] {
+                debug_assert_eq!(slot.next_arrival.map(|(a, _)| a), Some(at), "heap entry of {s}");
+                heaped += 1;
+            }
+        }
+        debug_assert_eq!(heaped, timers, "one heap entry per live timer");
+        if let Some(fleet) = &self.fleet {
+            let mut counts = vec![0; fleet.home_counts.len()];
+            for &lane in fleet.homes.iter().flatten() {
+                counts[lane] += 1;
+            }
+            debug_assert_eq!(fleet.home_counts, counts, "per-lane home counts");
+        }
     }
 
     /// Advances the backend clock to `t` (a no-op when already there),
@@ -994,7 +1076,7 @@ impl ServeEngine {
         if let Some(tick) = fleet.next_tick {
             let work_pending = !self.queue.is_empty()
                 || self.backend.in_flight_frames() > 0
-                || self.slots.iter().flatten().any(|s| s.next_arrival.is_some());
+                || self.live_timers > 0;
             if work_pending {
                 t = Some(t.map_or(tick, |x| x.min(tick)));
             }
@@ -1046,9 +1128,8 @@ impl ServeEngine {
     /// — same drain-livelock guard as [`ServeEngine::fleet_next_time`].
     fn quality_next_time(&self) -> Option<u64> {
         let tick = self.quality.as_ref()?.next_tick?;
-        let work_pending = !self.queue.is_empty()
-            || self.backend.in_flight_frames() > 0
-            || self.slots.iter().flatten().any(|s| s.next_arrival.is_some());
+        let work_pending =
+            !self.queue.is_empty() || self.backend.in_flight_frames() > 0 || self.live_timers > 0;
         work_pending.then_some(tick)
     }
 
@@ -1224,13 +1305,13 @@ impl ServeEngine {
             let id = SessionId(s as u32);
             if self.slots.get(s).is_none_or(|slot| slot.is_none()) {
                 // Stale home of a detached session.
-                fleet.homes[s] = None;
+                fleet.set_home(s, None);
                 continue;
             }
             match self.coldest_live_lane(fleet) {
                 Some(to) => self.do_migrate(fleet, s, lane, to, now),
                 None => {
-                    fleet.homes[s] = None;
+                    fleet.set_home(s, None);
                     self.backend.set_lane_affinity(id, None);
                 }
             }
@@ -1240,17 +1321,9 @@ impl ServeEngine {
     /// The live lane with the fewest homed sessions (lowest index on
     /// ties); `None` when every lane is down.
     fn coldest_live_lane(&self, fleet: &FleetRuntime) -> Option<usize> {
-        let mut best: Option<(usize, usize)> = None;
-        for lane in 0..self.backend.lane_count() {
-            if !self.backend.lane_alive(lane) {
-                continue;
-            }
-            let count = fleet.homes.iter().filter(|h| **h == Some(lane)).count();
-            if best.is_none_or(|(c, _)| count < c) {
-                best = Some((count, lane));
-            }
-        }
-        best.map(|(_, lane)| lane)
+        (0..self.backend.lane_count())
+            .filter(|&lane| self.backend.lane_alive(lane))
+            .min_by_key(|&lane| (fleet.home_counts[lane], lane))
     }
 
     /// Re-homes session `s` from lane `from` to lane `to`: updates the
@@ -1259,7 +1332,7 @@ impl ServeEngine {
     /// Migration happens *between* frames — in-flight work is untouched,
     /// only future placement moves — so the span is zero-length.
     fn do_migrate(&mut self, fleet: &mut FleetRuntime, s: usize, from: usize, to: usize, now: u64) {
-        fleet.homes[s] = Some(to);
+        fleet.set_home(s, Some(to));
         let session = SessionId(s as u32);
         self.backend.set_lane_affinity(session, Some(to));
         self.metrics.migrate();
@@ -1328,23 +1401,16 @@ impl ServeEngine {
                 continue;
             }
             if let Some(lane) = self.coldest_live_lane(fleet) {
-                if fleet.homes.len() <= s {
-                    fleet.homes.resize(s + 1, None);
-                }
-                fleet.homes[s] = Some(lane);
+                fleet.set_home(s, Some(lane));
                 self.backend.set_lane_affinity(SessionId(s as u32), Some(lane));
             }
         }
-        let counts: Vec<(usize, usize)> = (0..self.backend.lane_count())
+        let Some(cold) = self.coldest_live_lane(fleet) else { return };
+        let hot = (0..self.backend.lane_count())
             .filter(|&l| self.backend.lane_alive(l))
-            .map(|l| (fleet.homes.iter().filter(|h| **h == Some(l)).count(), l))
-            .collect();
-        let Some(&(max_c, hot)) = counts.iter().max_by_key(|&&(c, l)| (c, std::cmp::Reverse(l)))
-        else {
-            return;
-        };
-        let Some(&(min_c, cold)) = counts.iter().min_by_key(|&&(c, l)| (c, l)) else { return };
-        if max_c < min_c + 2 {
+            .max_by_key(|&l| (fleet.home_counts[l], Reverse(l)))
+            .expect("a live lane exists when a coldest one does");
+        if fleet.home_counts[hot] < fleet.home_counts[cold] + 2 {
             return;
         }
         let victim = (0..fleet.homes.len()).find(|&s| {
@@ -1586,9 +1652,22 @@ impl ServeEngine {
         }
     }
 
-    /// Admits every timer-generated arrival due at or before `now`.
+    /// Admits every timer-generated arrival due at or before `now`,
+    /// session by session in ascending index (each session's due
+    /// arrivals together), which fixes frame ids and queue order.
     fn admit_due(&mut self, now: u64) {
-        for s in 0..self.slots.len() {
+        let mut due = Vec::new();
+        while let Some(&Reverse((at, s))) = self.arrivals.peek() {
+            if at > now {
+                break;
+            }
+            self.arrivals.pop();
+            if self.slots[s].is_some() {
+                due.push(s);
+            }
+        }
+        due.sort_unstable();
+        for s in due {
             while let Some((slot, (at, frame))) =
                 self.slots[s].as_ref().and_then(|slot| Some((slot, slot.next_arrival?)))
             {
@@ -1608,6 +1687,10 @@ impl ServeEngine {
                 let next_frame = frame + 1;
                 self.slots[s].as_mut().expect("slot checked above").next_arrival =
                     (next_frame < frames).then_some((at.saturating_add(period), next_frame));
+            }
+            match self.slots[s].as_ref().and_then(|slot| slot.next_arrival) {
+                Some((at, _)) => self.arrivals.push(Reverse((at, s))),
+                None => self.live_timers -= 1,
             }
         }
     }
@@ -1733,6 +1816,15 @@ impl ServeEngine {
             if self.queue.is_empty() {
                 break;
             }
+            // One capacity probe per round: a frame needing k lanes fits
+            // iff k lanes are open — `can_accept` on both backends (a
+            // single pool has one lane, and sharded sessions attach only
+            // to clusters). Every mode needs at least one lane, so a
+            // round with none open could dispatch nothing.
+            let open = self.backend.open_lane_count();
+            if open == 0 {
+                break;
+            }
             // Lane reservation: the widest arrived frame's lane need,
             // capped at what the fleet can ever supply. Recomputed per
             // round — the reserve holder itself dispatching releases it.
@@ -1747,11 +1839,6 @@ impl ServeEngine {
             } else {
                 0
             };
-            // One capacity probe per round: a frame needing k lanes fits
-            // iff k lanes are open — `can_accept` on both backends (a
-            // single pool has one lane, and sharded sessions attach only
-            // to clusters).
-            let open = self.backend.open_lane_count();
             let eligible_mask: Vec<bool> = self
                 .queue
                 .iter()
@@ -2404,24 +2491,39 @@ mod tests {
             migration: Some(MigrationConfig { rebalance: false }),
             ..FleetConfig::default()
         };
-        let mut engine = ServeEngine::new(cluster_fleet_cfg(2, fleet));
-        // Two unsharded sessions: homes land on the two coldest lanes in
-        // attach order — s0 on lane 0, s1 on lane 1.
-        let s0 = engine.attach_spec(SessionSpec { frames: 0, ..tiny_spec(0, 0) });
-        let _s1 = engine.attach_spec(SessionSpec { frames: 0, ..tiny_spec(1, 0) });
+        let lanes = 4;
+        let mut engine = ServeEngine::new(cluster_fleet_cfg(lanes, fleet));
+        // Each unsharded session is homed on the coldest live lane at
+        // attach, lowest index on ties: round-robin in attach order.
+        let ids: Vec<SessionId> = (0..18)
+            .map(|i| engine.attach_spec(SessionSpec { frames: 0, ..tiny_spec(i, 0) }))
+            .collect();
+        let homes = |engine: &ServeEngine| engine.fleet.as_ref().expect("active").homes.clone();
+        let round_robin: Vec<Option<usize>> = (0..ids.len()).map(|s| Some(s % lanes)).collect();
+        assert_eq!(homes(&engine), round_robin);
         let events = engine.drain();
         let migrated: Vec<_> = events
             .iter()
             .filter_map(|e| match e {
                 ServeEvent::SessionMigrated { session, from, to, .. } => {
-                    Some((*session, *from, *to))
+                    Some((session.index(), *from, *to))
                 }
                 _ => None,
             })
             .collect();
-        assert_eq!(migrated, vec![(s0, 0, 1)], "only the session homed on lane 0 moves");
+        // Lane 0's sessions {0, 4, 8, 12, 16} leave in index order, each
+        // to the then-coldest live lane: lanes 1..4 start with 5, 4, 4
+        // homes.
+        let expected = [(0, 0, 2), (4, 0, 3), (8, 0, 1), (12, 0, 2), (16, 0, 3)];
+        assert_eq!(migrated, expected, "only the sessions homed on lane 0 move");
+        let mut after = round_robin;
+        for (s, _, to) in expected {
+            after[s] = Some(to);
+        }
+        assert_eq!(homes(&engine), after);
+        assert_eq!(engine.fleet.as_ref().expect("active").home_counts, [0, 6, 6, 6]);
         let report = engine.report();
-        assert_eq!(report.migrated, 1);
+        assert_eq!(report.migrated, expected.len());
         assert_eq!(report.lane_churn, 1);
     }
 

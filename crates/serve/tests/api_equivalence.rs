@@ -18,6 +18,9 @@
 //!    `retain_images` on replays the identical event stream and report,
 //!    and every retained image is bit-identical to a direct device render
 //!    of the frame's (view, quality rung).
+//! 5. **Pinned outcome** — one churny fleet's event stream and report
+//!    hash to values fixed in the test, so a change that alters the
+//!    simulation the same way at every step granularity still shows.
 
 use gbu_hw::GbuConfig;
 use gbu_render::{contrib, FrameBuffer};
@@ -294,13 +297,15 @@ proptest! {
 }
 
 /// A host-side intervention pinned to an absolute cycle: detach an
-/// existing session or attach a fresh one. Applied at identical cycles
-/// in both runs being compared, so the only degree of freedom left is
-/// step granularity.
+/// existing session, attach a fresh one, or push one frame (session,
+/// viewpoint) through `submit_frame`. Applied at identical cycles in
+/// both runs being compared, so the only degree of freedom left is step
+/// granularity.
 #[derive(Clone, Copy, Debug)]
 enum Intervention {
     Detach(usize),
     Attach,
+    Push(usize, u32),
 }
 
 /// One churny run: the event stream, the report, every session in id
@@ -356,6 +361,9 @@ fn run_churny(
                 let session = Session::prepare(spec, &GbuConfig::paper());
                 all.push(session.clone());
                 ids.push(engine.attach_session(session));
+            }
+            Some(Intervention::Push(i, view)) => {
+                engine.handle().submit_frame(ids[i % ids.len()], view);
             }
             None => {}
         }
@@ -617,4 +625,101 @@ fn pushed_and_timer_frames_share_conservation() {
     let report = engine.report();
     assert_eq!(report.generated, 2 * 3 + 4, "timer frames + pushed frames");
     assert_eq!(report.generated, report.completed + report.rejected + report.dropped);
+}
+
+/// 64-bit FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// The simulated outcome of one churny fleet, pinned by hash: the whole
+/// `ServeEvent` stream and the report (lifetime counts included). The
+/// properties above compare the engine only with itself, so a change
+/// that reorders admission, migration or dispatch the same way at every
+/// step granularity passes them; this pin does not. The fleet exercises
+/// lane kills and restores, migration with rebalancing, autoscaling,
+/// lane reservation, detaches (queued and in-flight), a late attach and
+/// pushed frames stamped ahead of the backend clock, with sessions of a
+/// QoS class sharing arrival cycles so admission order within a cycle
+/// shows. Change the pinned values only with a deliberate change of
+/// simulated behaviour.
+#[test]
+fn churny_fleet_event_stream_is_pinned() {
+    use gbu_render::shard::ShardStrategy;
+    let lanes = 4;
+    let mut sessions = workload(16, 6, 31);
+    for (i, s) in sessions.iter_mut().enumerate() {
+        s.spec.phase = (i % 4) as f64 * 0.25;
+        s.spec.exec = match i % 8 {
+            3 => ExecMode::Sharded { shards: 2, strategy: ShardStrategy::Measured },
+            6 => ExecMode::Sharded { shards: lanes, strategy: ShardStrategy::CostBalanced },
+            _ => ExecMode::Unsharded,
+        };
+    }
+    let mut cfg = config(1, Policy::Edf, 64, true);
+    // Without the in-flight term, a submission does not bring the
+    // backend clock forward: pushed frames are stamped ahead of it.
+    cfg.admission.in_flight_aware = false;
+    cfg.backend = BackendKind::Cluster { lanes, devices_per_lane: 1 };
+    cfg.gbu.clock_ghz = calibrated_clock_ghz(&sessions, lanes, 1.0);
+    let period = sessions[0].spec.qos.period_cycles(cfg.gbu.clock_ghz);
+    cfg.fleet = FleetConfig {
+        plan: FleetPlan::new(vec![
+            FleetEvent { at: period / 3, action: FleetAction::Kill(1) },
+            FleetEvent { at: period, action: FleetAction::Kill(2) },
+            FleetEvent { at: 2 * period, action: FleetAction::Restore(1) },
+            FleetEvent { at: 3 * period, action: FleetAction::Restore(2) },
+            FleetEvent { at: 7 * period / 2, action: FleetAction::Kill(0) },
+            FleetEvent { at: 7 * period / 2 + 1, action: FleetAction::Kill(3) },
+            FleetEvent { at: 9 * period / 2, action: FleetAction::Restore(0) },
+        ]),
+        autoscale: Some(AutoscaleConfig {
+            interval: period / 2,
+            cooldown_ticks: 1,
+            shrink_pressure: 0.05,
+            shrink_occupancy: 2.0,
+            ..AutoscaleConfig::default()
+        }),
+        migration: Some(MigrationConfig { rebalance: true }),
+        lane_reservation: true,
+    };
+    let interventions = [
+        (period / 2, Intervention::Push(0, 1)),
+        (period / 2, Intervention::Push(5, 2)),
+        (period * 3 / 2, Intervention::Detach(2)),
+        (period * 2, Intervention::Attach),
+        (period * 5 / 2, Intervention::Detach(9)),
+        (period * 5 / 2, Intervention::Push(9, 0)),
+        (period * 3, Intervention::Push(4, 2)),
+        // Long after the timers ran out: only the push's own stamped
+        // arrival can wake the idle engine to dispatch it.
+        (period * 20, Intervention::Push(0, 1)),
+    ];
+    let run = run_churny(cfg, &sessions, &interventions, &[]);
+    let report = &run.report;
+    let count = |f: fn(&ServeEvent) -> bool| run.events.iter().filter(|e| f(e)).count();
+    let counts = [
+        count(|e| matches!(e, ServeEvent::SessionMigrated { .. })),
+        count(|e| matches!(e, ServeEvent::Requeued { .. })),
+        count(|e| matches!(e, ServeEvent::LaneDown { .. })),
+        count(|e| matches!(e, ServeEvent::LaneUp { .. })),
+        count(|e| matches!(e, ServeEvent::Dropped { .. })),
+        report.drop_reasons.session_detached,
+        report.reject_reasons.unknown_session,
+    ];
+    let stream = run
+        .events
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, e| fnv1a(h, format!("{e:?}\n").as_bytes()));
+    let with_report = fnv1a(stream, report.to_json().as_bytes());
+    // Migrations, requeues, detach drops and an unknown-session reject
+    // all occur; the plan has four kills and three restores, so the
+    // fifth `LaneDown` and fourth `LaneUp` are the autoscaler's.
+    assert_eq!(counts, [29, 3, 5, 4, 40, 1, 1], "churn mechanisms");
+    assert_eq!(run.events.len(), 272);
+    assert_eq!(
+        (format!("{stream:#018x}"), format!("{with_report:#018x}")),
+        ("0x3cf8191e8b072da4".to_string(), "0x4b0e9b445aacea22".to_string()),
+        "the simulated outcome changed; counts {counts:?}"
+    );
 }
